@@ -15,9 +15,9 @@ Core pieces:
 - ``metrics``: sup-norm point/set/Hausdorff distances and the tilted-line
   counterexample with its exact midpoint bound.
 
-The hot kernels (grid suprema, batched root sweeps) run compiled when the
-extension is available; ``deformkit.BACKEND`` says which implementation is
-active and ``DEFORMKIT_PURE_PY=1`` forces the NumPy fallback.
+The hot kernels (grid suprema, batched Horner and root sweeps) are one NumPy
+module; ``deformkit.BACKEND`` names it (``"python"``) and every CLI report
+records it.
 """
 
 from ._kernels import BACKEND

@@ -1,11 +1,12 @@
-"""NumPy implementations of the hot kernels.
+"""The hot kernels, in NumPy: grid suprema, product-grid values, batched
+Horner evaluation and batched Aberth sweeps.
 
-Selected at import time when the compiled extension is unavailable (or
-forced via ``DEFORMKIT_PURE_PY=1``).  Must stay semantically interchangeable
-with ``_fast``: same arguments, same locking rules, same tie conventions.
+``BACKEND`` names this implementation; every CLI report records it.
 """
 
 import numpy as np
+
+BACKEND = "python"
 
 _EPS = float(np.finfo(np.float64).eps)
 # Residual lock: accept a root once |p(z)| is below this multiple of the
@@ -15,6 +16,27 @@ _RES_FACTOR = 100.0
 _OUTER_LIMIT = 1 << 21
 # Per-chunk value count: ~16 MB of complex128 keeps the gemm/abs passes in cache.
 _CHUNK_ELEMS = 1 << 20
+# Largest product grid grid_values will materialize.
+_GRID_LIMIT = 50_000_000
+
+
+def grid_values(exps, coeffs, axes):
+    """Values of ``sum_t coeffs[t] * prod_j x_j**exps[t, j]`` over the
+    Cartesian product of the axis value arrays, flattened in C order (last
+    axis fastest).  With no axes the result is the one-element constant sum.
+    """
+    M = 1
+    for a in axes:
+        M *= a.size
+    if M > _GRID_LIMIT:
+        raise ValueError(f"grid of {M} points is too large; lower the resolution")
+    vals = np.zeros(M, dtype=np.complex128)
+    for t in range(coeffs.size):
+        vec = np.asarray(coeffs[t])
+        for j, a in enumerate(axes):
+            vec = np.multiply.outer(vec, a ** exps[t, j])
+        vals += vec.ravel()
+    return vals
 
 
 def grid_sup_abs(exps, coeffs, axes):
@@ -68,12 +90,10 @@ def _sup_gemm(exps, coeffs, axes):
 
     # partial[r, m] = sum of coeffs[t] * outer-monomial(t, m) over terms t
     # whose last-axis exponent is g_last[r].
-    partial = np.zeros((g_last.size, outer), dtype=np.complex128)
-    for t in range(coeffs.size):
-        vec = np.asarray(coeffs[t])
-        for j, a in enumerate(outer_axes):
-            vec = np.multiply.outer(vec, a ** exps[t, j])
-        partial[rows[t]] += vec.ravel()
+    partial = np.empty((g_last.size, outer), dtype=np.complex128)
+    for r in range(g_last.size):
+        sel = rows == r
+        partial[r] = grid_values(exps[sel, :-1], coeffs[sel], outer_axes)
 
     pow_last = last[:, None] ** g_last[None, :]
 
@@ -90,6 +110,22 @@ def _sup_gemm(exps, coeffs, axes):
             kk, m = divmod(int(np.argmax(mag2)), outer)
             best_flat = m * n_last + (start + kk)
     return best_mag2, best_flat
+
+
+def horner(coeffs, z):
+    """Values ``p`` and derivatives ``dp`` of a batch of polynomials.
+
+    ``coeffs`` is (B, m+1) with ascending coefficients (index = power) and
+    ``z`` is (B, k); row b of ``z`` is evaluated with row b of ``coeffs``.
+    Returns two complex (B, k) arrays.
+    """
+    deg = coeffs.shape[1] - 1
+    p = np.broadcast_to(coeffs[:, deg : deg + 1], z.shape).copy()
+    dp = np.zeros_like(z)
+    for k in range(deg - 1, -1, -1):
+        dp = dp * z + p
+        p = p * z + coeffs[:, k : k + 1]
+    return p, dp
 
 
 def aberth_batch(coeffs, z0, tol, max_sweeps):
@@ -129,7 +165,12 @@ def aberth_batch(coeffs, z0, tol, max_sweeps):
         ca = coeffs[active_rows]
         aa = abs_coeffs[active_rows]
 
-        p, dp, s = _horner_all(ca, aa, zc)
+        p, dp = horner(ca, zc)
+        # Evaluation noise scale sum_k |a_k| |z|^k.
+        az = np.abs(zc)
+        s = np.broadcast_to(aa[:, m : m + 1], zc.shape).copy()
+        for k in range(m - 1, -1, -1):
+            s = s * az + aa[:, k : k + 1]
 
         res_lock = ~lc & (np.abs(p) <= _RES_FACTOR * _EPS * s)
 
@@ -156,17 +197,3 @@ def aberth_batch(coeffs, z0, tol, max_sweeps):
 
     converged = locked.all(axis=1)
     return z, sweeps, converged
-
-
-def _horner_all(coeffs, abs_coeffs, z):
-    """Evaluate p, p' and the noise scale sum |a_k| |z|^k at each root."""
-    deg = coeffs.shape[1] - 1
-    az = np.abs(z)
-    p = np.broadcast_to(coeffs[:, deg : deg + 1], z.shape).copy()
-    s = np.broadcast_to(abs_coeffs[:, deg : deg + 1], z.shape).copy()
-    dp = np.zeros_like(z)
-    for k in range(deg - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs[:, k : k + 1]
-        s = s * az + abs_coeffs[:, k : k + 1]
-    return p, dp, s

@@ -41,6 +41,7 @@ from .roots import RootConvergenceError, UniPoly, cluster_multiplicities, find_r
 from .varieties import (
     SampleCloud,
     containment_check,
+    default_axis,
     delta_bound,
     lemma_check,
     sample_hypersurface,
@@ -198,18 +199,8 @@ def cmd_contain(args) -> dict:
         f, g, T=args.T, eps=args.eps, grid=args.grid, tol=args.tol, axis=args.axis
     )
     if args.cloud_csv:
-        cloud = sample_hypersurface(
-            f, args.T, args.axis or _default_axis(f), args.grid, args.tol
-        )
-        _write_atomic(args.cloud_csv, cloud.to_csv())
+        _write_atomic(args.cloud_csv, report.cloud.to_csv())
     return report.to_json_dict()
-
-
-def _default_axis(f: SparsePoly) -> int:
-    for k in range(f.nvars):
-        if f.degree_in(k) > 0:
-            return k + 1
-    raise ValueError("polynomial is constant; its zero set is empty")
 
 
 def cmd_variety(args) -> dict:
@@ -220,7 +211,7 @@ def cmd_variety(args) -> dict:
     else:
         base = system.polys[0]
         cloud = sample_hypersurface(
-            base, args.T, args.axis or _default_axis(base), args.grid, args.tol
+            base, args.T, args.axis or default_axis(base), args.grid, args.tol
         )
     if args.g:
         jets = [_load_jetpoly(p) for p in args.g]

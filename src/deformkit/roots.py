@@ -161,35 +161,20 @@ def _initial_points_batch(coeffs: np.ndarray) -> np.ndarray:
 
 def _polish_batch(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2):
     """Newton steps kept only when they reduce |p|; returns roots, |p(root)|."""
-    res = _eval_batch(coeffs, roots)
+    p, dp = _kernels.horner(coeffs, roots)
+    res = np.abs(p)
     for _ in range(steps):
-        p, dp = _eval_deriv_batch(coeffs, roots)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
         cand = roots - step
-        cand_res = _eval_batch(coeffs, cand)
+        cand_p, cand_dp = _kernels.horner(coeffs, cand)
+        cand_res = np.abs(cand_p)
         better = cand_res < res
         roots = np.where(better, cand, roots)
+        p = np.where(better, cand_p, p)
+        dp = np.where(better, cand_dp, dp)
         res = np.where(better, cand_res, res)
     return roots, res
-
-
-def _eval_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    deg = coeffs.shape[1] - 1
-    p = np.broadcast_to(coeffs[:, deg : deg + 1], z.shape).copy()
-    for k in range(deg - 1, -1, -1):
-        p = p * z + coeffs[:, k : k + 1]
-    return np.abs(p)
-
-
-def _eval_deriv_batch(coeffs: np.ndarray, z: np.ndarray):
-    deg = coeffs.shape[1] - 1
-    p = np.broadcast_to(coeffs[:, deg : deg + 1], z.shape).copy()
-    dp = np.zeros_like(z)
-    for k in range(deg - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs[:, k : k + 1]
-    return p, dp
 
 
 def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):

@@ -60,6 +60,7 @@ __all__ = [
     "classify_jet_point",
     "lipschitz_bound",
     "eval_at_points",
+    "default_axis",
     "DEGENERATE_LEAD_TOL",
 ]
 
@@ -299,22 +300,6 @@ def lemma_check(
 # -- zero-set sampling ---------------------------------------------------------
 
 
-def _grid_values(exps: np.ndarray, coeffs: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-    """Polynomial values over the product grid, flattened in C order."""
-    M = 1
-    for a in axes:
-        M *= a.size
-    if M > 50_000_000:
-        raise ValueError(f"grid of {M} points is too large; lower the resolution")
-    vals = np.zeros(M, dtype=np.complex128)
-    for t in range(coeffs.size):
-        vec = np.asarray(coeffs[t])
-        for j, a in enumerate(axes):
-            vec = np.multiply.outer(vec, a ** exps[t, j])
-        vals += vec.ravel()
-    return vals
-
-
 def eval_at_points(p: SparsePoly, points: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at an (M, n) array of points."""
     pts = np.asarray(points, dtype=np.complex128)
@@ -328,6 +313,14 @@ def eval_at_points(p: SparsePoly, points: np.ndarray) -> np.ndarray:
                 mono *= pts[:, j] ** e
         vals += mono
     return vals
+
+
+def default_axis(f: SparsePoly) -> int:
+    """The 1-based index of the first variable ``f`` depends on."""
+    for k in range(f.nvars):
+        if f.degree_in(k) > 0:
+            return k + 1
+    raise ValueError("polynomial is constant; its zero set is empty")
 
 
 def sample_hypersurface(
@@ -375,7 +368,7 @@ def sample_hypersurface(
         if other:
             exps = np.array([[idx[o] for o in other] for idx, _ in sel], dtype=np.int64)
             coeffs = np.array([c for _, c in sel], dtype=np.complex128)
-            C[:, k] = _grid_values(exps, coeffs, fiber_axes)
+            C[:, k] = _kernels.grid_values(exps, coeffs, fiber_axes)
         else:
             C[:, k] = sum(c for _, c in sel)
 
@@ -449,6 +442,8 @@ class ContainmentReport:
     samples: int
     sample_meta: dict = field(compare=False)
     violation_list: tuple = ()
+    # The sampled zero set itself, kept for export; not part of the report.
+    cloud: SampleCloud | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -494,12 +489,7 @@ def containment_check(
     dist = _require_deformation_within(f, g, limit)
 
     if axis is None:
-        axis = next(
-            (k + 1 for k in range(f.nvars) if f.degree_in(k) > 0),
-            None,
-        )
-        if axis is None:
-            raise ValueError("polynomial is constant; its zero set is empty")
+        axis = default_axis(f)
     cloud = sample_hypersurface(f, T, axis, grid, tol)
 
     vals = np.abs(eval_at_points(g, cloud.points))
@@ -522,6 +512,7 @@ def containment_check(
         samples=len(cloud),
         sample_meta=cloud.meta,
         violation_list=listed,
+        cloud=cloud,
     )
 
 

@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+import deformkit
 from deformkit import Jet, JetPoly, SampleCloud, SparsePoly, UniPoly
+from deformkit import cli as cli_mod
+from deformkit import varieties as varieties_mod
 from deformkit.cli import main
 
 
@@ -124,6 +127,42 @@ def test_contain_report_and_cloud_export(files, tmp_path):
     assert rep["result"]["violations"] == 0
     exported = SampleCloud.from_csv(open(csv_out).read())
     assert len(exported) == rep["result"]["samples"]
+
+
+def test_contain_cloud_csv_samples_once(files, tmp_path, monkeypatch):
+    f2 = SparsePoly.from_json_dict(json.load(open(files["f2.json"])))
+    expected = varieties_mod.sample_hypersurface(f2, 1.0, 1, 9, 1e-8).to_csv()
+    calls = []
+    original = varieties_mod.sample_hypersurface
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # Both binding sites: the library's own and the one the CLI imported.
+    monkeypatch.setattr(varieties_mod, "sample_hypersurface", counting)
+    monkeypatch.setattr(cli_mod, "sample_hypersurface", counting)
+    csv_out = tmp_path / "cloud.csv"
+    rc = main(
+        [
+            "contain",
+            "--f", files["f2.json"],
+            "--g", files["g2.json"],
+            "--grid", "9",
+            "--cloud-csv", str(csv_out),
+            "--out", str(tmp_path / "contain.json"),
+            "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    assert csv_out.read_text() == expected
+
+
+def test_report_records_the_kernel_backend(files, tmp_path):
+    assert deformkit.BACKEND == "python"
+    rep = run_json(["roots", "--poly", files["f1.json"]], str(tmp_path / "r.json"))
+    assert rep["backend"] == deformkit.BACKEND
 
 
 def test_modulus_report(files, tmp_path):
