@@ -131,7 +131,8 @@ def _emit(args, result: dict) -> None:
     }
     if not args.no_timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(report, indent=2, default=_json_default) + "\n"
+    # Strict JSON: a NaN or an infinity in the report raises ValueError.
+    text = json.dumps(report, indent=2, default=_json_default, allow_nan=False) + "\n"
     if args.out:
         _write_atomic(args.out, text)
     else:
@@ -219,8 +220,7 @@ def cmd_variety(args) -> dict:
             system, jets, cloud, order=args.order, tol=args.tol, seed=args.seed
         )
         return report.to_json_dict()
-    residuals = [system_residual(system, pt) for pt in cloud.points]
-    arr = np.asarray(residuals, dtype=np.float64)
+    arr = system_residual(system, cloud.points)
     members = int((arr < args.eps).sum()) if args.eps is not None else None
     out = {
         "points": len(cloud),
@@ -535,6 +535,8 @@ def main(argv=None) -> int:
 
     try:
         _emit(args, result)
+    except ValueError as exc:
+        return _report_error(args, 2, exc)
     except OSError as exc:
         return _report_error(args, 1, exc)
     return 0

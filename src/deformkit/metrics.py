@@ -45,14 +45,24 @@ def point_set_distance(w: Sequence[complex], Z: SampleCloud) -> float:
     wv = np.asarray([complex(c) for c in w], dtype=np.complex128)
     if wv.size != Z.n:
         raise ValueError(f"dimension mismatch: {wv.size} vs {Z.n}")
-    d = np.abs(Z.points - wv[None, :]).max(axis=1)
-    return float(d.min())
+    return _directed_sup(wv[None, :], Z.points)
 
 
-def _directed_sup(A: np.ndarray, B: np.ndarray, chunk: int = 16384) -> float:
+# The most complex differences ``_directed_sup`` holds at once.
+MAX_BLOCK_DIFFS = 1 << 20
+
+
+def _directed_sup(A: np.ndarray, B: np.ndarray) -> float:
+    """Max over rows of ``A`` of the min sup-norm distance to the rows of ``B``.
+
+    ``A`` is scanned in blocks of rows sized so that a block's differences
+    against all of ``B`` stay within ``MAX_BLOCK_DIFFS`` (a block is one row
+    when ``B`` alone exceeds it).
+    """
+    rows = max(1, MAX_BLOCK_DIFFS // max(1, B.shape[0] * B.shape[1]))
     worst = 0.0
-    for start in range(0, A.shape[0], chunk):
-        blk = A[start : start + chunk]
+    for start in range(0, A.shape[0], rows):
+        blk = A[start : start + rows]
         d = np.abs(blk[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1)
         worst = max(worst, float(d.max()))
     return worst

@@ -149,25 +149,30 @@ class SparsePoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Evaluate at a point of length ``nvars``.
+    def evaluate(self, point) -> complex | np.ndarray:
+        """Evaluate at one point of length ``nvars``, or at an array of points.
 
-        Terms are summed in lexicographic exponent order so the result is
-        reproducible across runs.
+        An array whose last axis has length ``nvars`` gives an array of
+        values over the leading axes; a single point gives a ``complex``.
+        Each term starts from its coefficient and is multiplied by the
+        coordinate powers, and terms are summed in lexicographic exponent
+        order, so the same array of points always gives the same bits.
         """
-        if len(point) != self._nvars:
-            raise ValueError(
-                f"point has dimension {len(point)}, polynomial has {self._nvars}"
-            )
-        zs = [complex(z) for z in point]
-        total = 0j
+        pts = np.asarray(point, dtype=np.complex128)
+        dim = pts.shape[-1] if pts.ndim else 0
+        if dim != self._nvars:
+            raise ValueError(f"point has dimension {dim}, polynomial has {self._nvars}")
+        rows = pts.reshape(-1, dim)
+        vals = np.zeros(rows.shape[0], dtype=np.complex128)
         for idx, coeff in self.sorted_terms():
-            mono = 1 + 0j
-            for z, e in zip(zs, idx):
+            mono = np.full(rows.shape[0], coeff, dtype=np.complex128)
+            for j, e in enumerate(idx):
                 if e:
-                    mono *= z**e
-            total += coeff * mono
-        return total
+                    mono *= rows[:, j] ** e
+            vals += mono
+        if pts.ndim == 1:
+            return complex(vals[0])
+        return vals.reshape(pts.shape[:-1])
 
     __call__ = evaluate
 

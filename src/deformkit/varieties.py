@@ -109,6 +109,10 @@ class SampleCloud:
         arr = np.asarray(points, dtype=np.complex128)
         if arr.ndim != 2:
             raise ValueError("points must be a 2-D array of shape (count, n)")
+        bad = ~np.isfinite(arr).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"non-finite coordinate in sample point {i}: {arr[i].tolist()}")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
         object.__setattr__(self, "label", str(label))
@@ -125,18 +129,12 @@ class SampleCloud:
         return self.points.shape[0]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = []
-        for j in range(self.n):
-            header += [f"re_{j + 1}", f"im_{j + 1}"]
-        writer.writerow(header)
-        for row in self.points:
-            flat = []
-            for z in row:
-                flat += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(flat)
-        return buf.getvalue()
+        """Header ``re_1,im_1,...`` then one row per point, each float by
+        ``repr`` so that ``from_csv`` reads back the same bits."""
+        header = ",".join(f"{part}_{j + 1}" for j in range(self.n) for part in ("re", "im"))
+        flat = np.ascontiguousarray(self.points).view(np.float64)
+        rows = flat.reshape(len(self), 2 * self.n).tolist()
+        return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, label: str = "") -> "SampleCloud":
@@ -147,16 +145,12 @@ class SampleCloud:
         if len(header) % 2 or not header or header[0] != "re_1":
             raise ValueError(f"unexpected CSV header {header!r}")
         n = len(header) // 2
-        pts = []
-        for row in rows[1:]:
-            if not row:
-                continue
+        body = [row for row in rows[1:] if row]
+        for row in body:
             if len(row) != 2 * n:
                 raise ValueError(f"row of width {len(row)}, expected {2 * n}")
-            vals = [float(x) for x in row]
-            pts.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)])
-        arr = np.asarray(pts, dtype=np.complex128).reshape(len(pts), n)
-        return cls(arr, label=label)
+        flat = np.array(body, dtype=np.float64).reshape(len(body), 2 * n)
+        return cls(flat.view(np.complex128), label=label)
 
 
 # -- pointwise membership and the quantitative bound -------------------------
@@ -301,18 +295,11 @@ def lemma_check(
 
 
 def eval_at_points(p: SparsePoly, points: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at an (M, n) array of points."""
+    """Values of ``p`` at an (M, n) array of points (``SparsePoly.evaluate``)."""
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != p.nvars:
         raise ValueError(f"points must have shape (M, {p.nvars})")
-    vals = np.zeros(pts.shape[0], dtype=np.complex128)
-    for idx, c in p.sorted_terms():
-        mono = np.full(pts.shape[0], c, dtype=np.complex128)
-        for j, e in enumerate(idx):
-            if e:
-                mono *= pts[:, j] ** e
-        vals += mono
-    return vals
+    return p.evaluate(pts)
 
 
 def default_axis(f: SparsePoly) -> int:
@@ -516,9 +503,16 @@ def containment_check(
     )
 
 
-def system_residual(F: PolySystem, z: Sequence[complex]) -> float:
-    """Max of |f(z)| over the system: < eps means eps-membership in the variety."""
-    return max(abs(p.evaluate(z)) for p in F)
+def system_residual(F: PolySystem, z) -> float | np.ndarray:
+    """Max of |f(z)| over the system: < eps means eps-membership in the variety.
+
+    ``z`` is one point (the result is a float) or an (M, n) array of points
+    (the result is an array of M residuals).
+    """
+    res = np.abs(F.polys[0].evaluate(z))
+    for p in F.polys[1:]:
+        res = np.maximum(res, np.abs(p.evaluate(z)))
+    return float(res) if np.ndim(res) == 0 else res
 
 
 def classify_jet_point(point: Sequence[Jet]) -> str:
@@ -610,11 +604,7 @@ def variety_jet_check(
         slack = max(slack, ST_MATCH_TOL * f.support_size() * max(1.0, max_norm) ** dd)
     threshold = tol + 10.0 * slack
 
-    witnesses = [
-        tuple(complex(z) for z in samples.points[i])
-        for i in range(len(samples))
-        if system_residual(F, samples.points[i]) <= tol
-    ]
+    witnesses = samples.points[system_residual(F, samples.points) <= tol].tolist()
 
     forward_failures = 0
     for z in witnesses:

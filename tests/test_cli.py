@@ -1,6 +1,7 @@
 """CLI wiring: reports, determinism, exit codes, selftests."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -241,6 +242,83 @@ def test_hausdorff_report(files, tmp_path):
     assert rep["result"]["is_eps_deformation"] is True
 
 
+def test_variety_matches_contain_max_residual(files, tmp_path):
+    # One evaluator: the residual sweep over the exported cloud reports the
+    # containment check's max residual for the same cloud, bit for bit.
+    # Evaluating point by point can change the last bits, and does change
+    # the maximum on this pair with NumPy 2.4 on x86-64.
+    f = SparsePoly(2, {(2, 1): 1.0 - 0.5j, (1, 0): 0.3j, (0, 2): 0.6, (0, 0): -0.7})
+    g = deformkit.random_deformation(f, 0.02, seed=1)
+    fp, gp = tmp_path / "f.json", tmp_path / "g.json"
+    fp.write_text(json.dumps(f.to_json_dict()))
+    gp.write_text(json.dumps(g.to_json_dict()))
+    cloud_csv = str(tmp_path / "F.csv")
+    contain = run_json(
+        [
+            "contain",
+            "--f", str(fp),
+            "--g", str(gp),
+            "--T", "1.5",
+            "--eps", "0.5",
+            "--grid", "13",
+            "--cloud-csv", cloud_csv,
+        ],
+        str(tmp_path / "contain.json"),
+    )
+    variety = run_json(
+        ["variety", "--f", str(gp), "--points", cloud_csv, "--eps", "0.5"],
+        str(tmp_path / "variety.json"),
+    )
+    assert contain["result"]["samples"] > 0
+    assert variety["result"]["points"] == contain["result"]["samples"]
+    assert variety["result"]["max_residual"] == contain["result"]["max_residual"]
+
+
+def test_variety_empty_cloud(files, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("re_1,im_1,re_2,im_2\n")
+    rep = run_json(
+        ["variety", "--f", files["diag.json"], "--points", str(empty), "--eps", "0.1"],
+        str(tmp_path / "v.json"),
+    )
+    assert rep["result"]["points"] == 0
+    assert rep["result"]["members"] == 0
+    assert rep["result"]["max_residual"] == 0.0
+
+
+def test_non_finite_cloud_is_exit_one(files, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("re_1,im_1,re_2,im_2\n0.0,0.0,0.0,0.0\nnan,0.0,0.0,0.0\n")
+    out = tmp_path / "h.json"
+    rc = main(["hausdorff", "--W", str(bad), "--Z", files["Z.csv"], "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    rc = main(["hausdorff", "--W", files["W.csv"], "--Z", str(bad)])
+    assert rc == 1
+    rc = main(["variety", "--f", files["diag.json"], "--points", str(bad)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_report_is_exit_two(tmp_path, capsys):
+    # Horner overflows on t^2 + 1e200, so the residual bound is infinite;
+    # the report would not be strict JSON and must not be written.
+    poly = tmp_path / "huge.json"
+    poly.write_text(json.dumps(UniPoly([1e200, 0, 1]).to_json_dict()))
+    out = tmp_path / "roots.json"
+    with np.errstate(all="ignore"):
+        rc = main(["roots", "--poly", str(poly), "--out", str(out), "--no-timestamp"])
+    assert rc == 2
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [poly]
+    with np.errstate(all="ignore"):
+        rc = main(["roots", "--poly", str(poly), "--no-timestamp"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
 def test_counterexample_report_cli(files, tmp_path):
     out = str(tmp_path / "cx.json")
     rep = run_json(
@@ -311,6 +389,9 @@ def test_seed_env_override(files, tmp_path, monkeypatch):
 
 def test_console_script_entry_point(files, tmp_path):
     out = str(tmp_path / "sub.json")
+    # The child imports the same deformkit as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deformkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "deformkit.cli",
@@ -318,6 +399,7 @@ def test_console_script_entry_point(files, tmp_path):
             "--out", out, "--no-timestamp",
         ],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.load(open(out))["command"] == "roots"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from deformkit import metrics as metrics_mod
+
 from deformkit import (
     SampleCloud,
     coeff_sup_distance,
@@ -142,6 +144,28 @@ def test_certificate_parameter_validation():
         counterexample_report(0.1, -1.0, 12.0)
     with pytest.raises(ValueError):
         counterexample_report(0.1, 0.5, 0.0)
+
+
+def brute_hausdorff(W, Z):
+    """All |W| x |Z| sup-norm distances at once, then both directed sups."""
+    d = np.abs(W[:, None, :] - Z[None, :, :]).max(axis=2)
+    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+
+
+def test_hausdorff_blocks_match_bruteforce(monkeypatch):
+    rng = np.random.default_rng(8)
+    W = cloud(rng.normal(size=(37, 2)) + 1j * rng.normal(size=(37, 2)))
+    Z = cloud(rng.normal(size=(23, 2)) + 1j * rng.normal(size=(23, 2)))
+    want = brute_hausdorff(W.points, Z.points)
+    assert hausdorff(W, Z) == want
+    # A block of 2 rows holds far fewer rows than either cloud.
+    monkeypatch.setattr(metrics_mod, "MAX_BLOCK_DIFFS", 2 * 23 * 2)
+    assert hausdorff(W, Z) == want
+    assert hausdorff(Z, W) == want
+    monkeypatch.setattr(metrics_mod, "MAX_BLOCK_DIFFS", 1)
+    assert hausdorff(W, Z) == want
+    for w in W.points[:5]:
+        assert point_set_distance(w, Z) == float(np.abs(Z.points - w).max(axis=1).min())
 
 
 def test_hausdorff_dimension_mismatch():

@@ -64,6 +64,62 @@ def test_eval_is_linear_and_multiplicative():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
+EPS = float(np.finfo(np.float64).eps)
+
+
+def scalar_loop_evaluate(p, point):
+    """Reference: the term-by-term scalar loop, one Python complex at a time."""
+    zs = [complex(z) for z in point]
+    total = 0j
+    for idx, coeff in p.sorted_terms():
+        mono = 1 + 0j
+        for z, e in zip(zs, idx):
+            if e:
+                mono *= z**e
+        total += coeff * mono
+    return total
+
+
+def abs_scale(p, point):
+    """The absolute-value polynomial: sum_t |c_t| prod_j |z_j|^e_tj."""
+    az = np.abs(np.asarray(point, dtype=np.complex128))
+    return sum(abs(c) * float(np.prod(az ** np.array(idx))) for idx, c in p.sorted_terms())
+
+
+def test_evaluate_matches_scalar_loop_on_points_and_arrays():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        p = rand_poly(rng, n, max_deg=6, max_terms=8)
+        deg = max(p.total_degree(), 1)
+        pts = 1.3 * (rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n)))
+        vals = p.evaluate(pts)
+        assert isinstance(vals, np.ndarray)
+        assert vals.shape == (7,) and vals.dtype == np.complex128
+        for m in range(pts.shape[0]):
+            want = scalar_loop_evaluate(p, pts[m])
+            tol = 8 * deg * EPS * abs_scale(p, pts[m])
+            one = p.evaluate(list(pts[m]))
+            assert type(one) is complex
+            assert abs(one - want) <= tol
+            assert abs(vals[m] - want) <= tol
+
+
+def test_evaluate_keeps_leading_axes():
+    p = sp(2, {(2, 1): 1.5 - 0.5j, (0, 0): -1.0, (1, 0): 0.25j})
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    vals = p.evaluate(pts)
+    assert vals.shape == (3, 4)
+    assert np.array_equal(vals.reshape(-1), p.evaluate(pts.reshape(-1, 2)))
+    assert p.evaluate(np.zeros((0, 2))).shape == (0,)
+    assert p(pts[0, 0]) == p.evaluate(pts[0, 0].reshape(1, 2))[0]
+    with pytest.raises(ValueError):
+        p.evaluate(np.zeros((5, 3)))
+    with pytest.raises(ValueError):
+        p.evaluate(1.0)
+
+
 # -- coefficient distance --------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Hypercube windows, the deformation bound, sampling, and containment."""
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -306,6 +308,33 @@ def test_system_residual_examples():
     assert system_residual(single, (1, 1)) == abs(HYPERBOLA.evaluate((1, 1)))
 
 
+def test_system_residual_on_point_arrays():
+    F = PolySystem([DIAGONAL, HYPERBOLA, sp(2, {(2, 0): 0.5j, (0, 0): 0.25})])
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    res = system_residual(F, pts)
+    assert res.shape == (40,) and res.dtype == np.float64
+    # The array residual is the elementwise max of the per-polynomial moduli.
+    moduli = np.stack([np.abs(p.evaluate(pts)) for p in F])
+    assert np.array_equal(res, moduli.max(axis=0))
+    for m in range(len(pts)):
+        one = system_residual(F, pts[m])
+        assert type(one) is float
+        assert one == pytest.approx(res[m], rel=1e-14)
+    assert system_residual(F, np.zeros((0, 2))).shape == (0,)
+
+
+def test_eval_at_points_is_the_shared_evaluator():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(25, 2)) + 1j * rng.normal(size=(25, 2))
+    for p in (HYPERBOLA, DIAGONAL, sp(2, {(3, 2): 1 - 1j, (0, 1): 2.0})):
+        assert np.array_equal(eval_at_points(p, pts), p.evaluate(pts))
+    with pytest.raises(ValueError, match=r"shape \(M, 2\)"):
+        eval_at_points(HYPERBOLA, pts[0])
+    with pytest.raises(ValueError, match=r"shape \(M, 2\)"):
+        eval_at_points(HYPERBOLA, pts[:, :1])
+
+
 def test_jet_witnesses_on_diagonal():
     e2 = Jet.eps() * Jet.eps()
     g = JetPoly(
@@ -315,6 +344,11 @@ def test_jet_witnesses_on_diagonal():
     pts = np.array([[z, z] for z in np.linspace(-1, 1, 9)], dtype=np.complex128)
     rep = variety_jet_check(DIAGONAL, g, SampleCloud(pts, "diag"), seed=3)
     assert rep.witnesses == len(pts)
+    assert rep.passed
+    # Points off the diagonal are not witnesses.
+    off = np.array([[0.5, -0.5], [1j, 0.0]], dtype=np.complex128)
+    rep = variety_jet_check(DIAGONAL, g, SampleCloud(np.vstack([off, pts])), seed=3)
+    assert rep.witnesses == rep.forward_checked == len(pts)
     assert rep.passed
 
 
@@ -361,6 +395,60 @@ def test_cloud_csv_round_trip():
     assert text.splitlines()[0] == "re_1,im_1,re_2,im_2"
     back = SampleCloud.from_csv(text)
     assert np.array_equal(back.points, cloud.points)
+
+
+def loop_writer_csv(cloud):
+    """Reference: the csv.writer encoding, one repr per coordinate."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = []
+    for j in range(cloud.n):
+        header += [f"re_{j + 1}", f"im_{j + 1}"]
+    writer.writerow(header)
+    for row in cloud.points:
+        flat = []
+        for z in row:
+            flat += [repr(float(z.real)), repr(float(z.imag))]
+        writer.writerow(flat)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cloud_csv_bytes_match_the_loop_writer(n):
+    special = [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 0.1, 1 / 3, 0.0, 2.5e-7, 1e300]
+    rng = np.random.default_rng(n)
+    re = rng.choice(special, size=(17, n))
+    im = rng.choice(special, size=(17, n))
+    re[:4] = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-20, 20, size=(4, n))
+    cloud = SampleCloud(re + 1j * im)
+    text = cloud.to_csv()
+    assert text == loop_writer_csv(cloud)
+    back = SampleCloud.from_csv(text)
+    assert back.points.shape == cloud.points.shape
+    # Bit-exact round trip, signed zeros and subnormals included.
+    assert back.points.tobytes() == cloud.points.tobytes()
+
+
+def test_cloud_csv_empty_and_header_only():
+    empty = SampleCloud(np.zeros((0, 2), dtype=np.complex128))
+    assert empty.to_csv() == loop_writer_csv(empty) == "re_1,im_1,re_2,im_2\n"
+    back = SampleCloud.from_csv(empty.to_csv())
+    assert back.points.shape == (0, 2)
+    with pytest.raises(ValueError, match="empty CSV"):
+        SampleCloud.from_csv("")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        SampleCloud.from_csv("x_1,im_1\n1.0,2.0\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cloud_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        SampleCloud(np.array([[0.0, 1.0], [complex(bad, 0.0), 2.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        SampleCloud(np.array([[complex(0.0, bad)]]))
+    text = f"re_1,im_1\n0.0,1.0\n{bad!r},0.0\n"
+    with pytest.raises(ValueError, match="non-finite"):
+        SampleCloud.from_csv(text)
 
 
 def test_cloud_csv_rejects_bad_width():
