@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -112,6 +113,13 @@ def _require(args, *names: str) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
         raise ValueError("missing required option(s): " + ", ".join(f"--{n}" for n in missing))
+
+
+def _require_finite(args) -> None:
+    """Reject a NaN or an infinity in any float option (``--eps``, ``--T``, ...)."""
+    for name, value in sorted(vars(args).items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _emit(args, result: dict) -> None:
@@ -527,6 +535,7 @@ def main(argv=None) -> int:
         return 0 if all(ok for _, ok in checks) else 2
 
     try:
+        _require_finite(args)
         result = args.func(args)
     except _NUMERIC_ERRORS as exc:
         return _report_error(args, 2, exc)

@@ -143,7 +143,22 @@ class CounterexampleReport:
 
 
 def _witness_scan(delta_prime, eps, T, grid, measure_grid):
-    """Witnesses of the tilted line in H(T) plus their diagonal distances."""
+    """Witnesses of the tilted line in H(T) plus their diagonal distances.
+
+    A witness ``(w, w2)``, ``w2 = (1 + delta') w``, is measured against the
+    diagonal points of the clipped ``measure_grid`` lattice, but only against
+    those that can attain the minimum.  With ``m`` the midpoint,
+    ``max(|w - d|, |w2 - d|) >= |m - d|`` for every ``d``, so a minimiser lies
+    within ``U`` of ``m`` in each coordinate, where ``U`` is the value at any
+    lattice point of the disk.  That point is ``m`` truncated toward zero
+    coordinatewise, and it lies in the disk because ``|m| < |w2| <= T``.
+    Where no lattice value lies between 0 and a coordinate (even lattices)
+    the innermost value, at most half a step ``h``, is taken; the other
+    coordinate is then at most ``T - h``, and ``(h/2)^2 + (T - h)^2 <= T^2``
+    for ``h <= T``, that is for 3 or more lattice points per axis.  One
+    lattice step of margin on ``U`` absorbs rounding, so the minimum is the
+    one over the whole lattice.
+    """
     wgrid = complex_grid_axis(T, grid)
     scale = 1.0 + delta_prime
     on_window = np.abs(wgrid * scale) <= T * (1.0 + 1e-12)
@@ -151,13 +166,29 @@ def _witness_scan(delta_prime, eps, T, grid, measure_grid):
     far = np.abs(wgrid) >= threshold
     ws = wgrid[on_window & far]
 
-    diag = complex_grid_axis(T, measure_grid)
+    axis = np.linspace(-T, T, measure_grid)
+    step = axis[1] - axis[0]
+
+    def toward_zero(x):
+        if x >= 0:
+            return axis[max(np.searchsorted(axis, x, "right") - 1, measure_grid // 2)]
+        return axis[min(np.searchsorted(axis, x, "left"), (measure_grid - 1) // 2)]
+
+    def near(x, half):
+        lo = np.searchsorted(axis, x - half, "left")
+        return axis[lo:np.searchsorted(axis, x + half, "right")]
+
     witnesses = []
     for w in ws:
         w2 = scale * w
+        m = (w + w2) / 2.0
+        d0 = complex(toward_zero(m.real), toward_zero(m.imag))
+        half = max(abs(w - d0), abs(w2 - d0)) + step
+        diag = near(m.real, half)[:, None] + 1j * near(m.imag, half)[None, :]
+        diag = diag[np.abs(diag) <= T * (1.0 + 1e-12)]
         measured = float(np.minimum.reduce(
             np.maximum(np.abs(w - diag), np.abs(w2 - diag))
-        )) if diag.size else float("inf")
+        ))
         analytic = float(delta_prime * abs(w) / 2.0)
         witnesses.append(
             Witness(
@@ -185,8 +216,15 @@ def counterexample_report(
     ``delta_prime |w| / 2`` and the measured distance to a dense diagonal
     sample.  Measured distances can only overestimate (the samples are a
     subset of the diagonal), so ``measured >= eps`` certifies the escape.
-    The growth section repeats the scan at ``2 T`` with proportionally
-    scaled grids, exhibiting the linear growth of the deviation.
+    Each witness is measured only against the lattice points near its
+    midpoint ``m``: every diagonal point ``d`` has
+    ``max(|w - d|, |w2 - d|) >= |m - d|``, so no point farther from ``m``
+    than the value at a nearby lattice point can be closer, and the measured
+    distance is the one over the whole lattice, bit for bit.  A
+    ``measure_grid`` below 3 has no lattice point in the disk and is
+    rejected.  The growth section repeats the scan at ``2 T`` with
+    proportionally scaled grids, exhibiting the linear growth of the
+    deviation.
 
     A window too small to contain any witness yields status
     ``"no witness in window"``, not an error.
@@ -199,6 +237,11 @@ def counterexample_report(
         raise ValueError(f"T must be positive, got {T}")
     if measure_grid is None:
         measure_grid = 8 * grid + 1
+    if measure_grid < 3:
+        raise ValueError(
+            f"measure_grid must be >= 3, got {measure_grid}: "
+            "coarser lattices have no point in the disk"
+        )
 
     f, g = counterexample_pair(delta_prime)
     dist = coeff_sup_distance(f, g)

@@ -336,6 +336,41 @@ def test_counterexample_report_cli(files, tmp_path):
     assert rep["result"]["witness_threshold"] == pytest.approx(10.0)
 
 
+def test_counterexample_without_disk_points_is_exit_one(tmp_path, capsys):
+    out = tmp_path / "cx.json"
+    rc = main(["counterexample", "--measure-grid", "2", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "measure_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["lemma", "--T", "nan"], "--T"),
+        (["lemma", "--eps", "nan"], "--eps"),
+        (["contain", "--T", "inf"], "--T"),
+        (["contain", "--tol", "nan"], "--tol"),
+        (["variety", "--eps=-inf"], "--eps"),
+        (["hausdorff", "--eps", "nan"], "--eps"),
+        (["roots", "--tol", "inf"], "--tol"),
+        (["roots", "--cluster-radius", "nan"], "--cluster-radius"),
+        (["align", "--eps", "nan"], "--eps"),
+        (["modulus", "--eps", "inf"], "--eps"),
+        (["counterexample", "--eps", "inf"], "--eps"),
+        (["counterexample", "--T", "nan"], "--T"),
+        (["counterexample", "--delta-prime=-inf"], "--delta-prime"),
+    ],
+)
+def test_non_finite_option_is_exit_one(argv, option, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{option} must be finite" in err
+
+
 def test_reports_are_byte_identical(files, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     args = ["align", "--f", files["f1.json"], "--g", files["g1.json"],

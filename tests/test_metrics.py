@@ -1,9 +1,12 @@
 """Sup-norm set distances and the tilted-line escape certificate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deformkit import metrics as metrics_mod
+from deformkit.varieties import complex_grid_axis
 
 from deformkit import (
     SampleCloud,
@@ -144,6 +147,78 @@ def test_certificate_parameter_validation():
         counterexample_report(0.1, -1.0, 12.0)
     with pytest.raises(ValueError):
         counterexample_report(0.1, 0.5, 0.0)
+
+
+def test_lattice_without_disk_points_is_rejected():
+    # The 2-point lattice has its corners at T*sqrt(2), outside the disk, so
+    # no witness has a measured distance: that is not a certificate.
+    with pytest.raises(ValueError, match="measure_grid"):
+        counterexample_report(0.1, 0.5, 12.0, 25, 2)
+    assert counterexample_report(0.1, 0.5, 12.0, 25, 3).certified
+
+
+def full_scan_distances(rep):
+    """Each witness measured against the whole clipped diagonal lattice."""
+    diag = complex_grid_axis(rep.T, rep.measure_grid)
+    return [
+        float(np.minimum.reduce(
+            np.maximum(np.abs(x.point[0] - diag), np.abs(x.point[1] - diag))
+        ))
+        for x in rep.witnesses
+    ]
+
+
+# (delta', eps, T, grid, measure_grid)
+SCAN_CASES = [
+    # the two `bound` benchmark configurations, at T and at 2T
+    (0.1, 0.5, 12.0, 25, 1201),
+    (0.1, 0.5, 24.0, 25, 1201),
+    (0.05, 0.25, 12.0, 25, 1201),
+    (0.05, 0.25, 24.0, 25, 1201),
+    # odd and even lattices
+    (0.1, 0.5, 12.0, 25, 241),
+    (0.1, 0.5, 12.0, 24, 240),
+    # coarse lattices: the step exceeds delta' |w| / 2
+    (0.1, 0.5, 12.0, 25, 7),
+    (0.1, 0.5, 12.0, 25, 4),
+    # small tilt: midpoints within one lattice step of the disk edge
+    (1e-3, 0.005, 12.0, 25, 25),
+    (1e-3, 0.005, 12.0, 25, 24),
+    (1e-3, 0.005, 12.0, 31, 3),
+    # large tilt
+    (2.0, 1.0, 12.0, 25, 241),
+    (2.0, 1.0, 12.0, 25, 10),
+]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_witness_scan_matches_full_lattice_scan(case):
+    rep = counterexample_report(*case)
+    assert rep.witnesses
+    assert [x.measured_distance for x in rep.witnesses] == full_scan_distances(rep)
+
+
+def test_small_tilt_cases_reach_the_disk_edge():
+    for dp, eps, T, grid, mgrid in SCAN_CASES:
+        if dp != 1e-3:
+            continue
+        step = 2.0 * T / (mgrid - 1)
+        rep = counterexample_report(dp, eps, T, grid, mgrid)
+        mids = [abs(x.point[0] + x.point[1]) / 2 for x in rep.witnesses]
+        assert max(mids) > T - step
+
+
+def test_witness_scan_is_lattice_local():
+    # The whole lattice at 1201 is about 1.13M complex points (18 MB), and
+    # scanning it held about 63 MB at once.
+    tracemalloc.start()
+    try:
+        rep = counterexample_report(0.1, 0.5, 12.0, 25, 1201)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.certified
+    assert peak < 8 * 2**20
 
 
 def brute_hausdorff(W, Z):
