@@ -166,7 +166,9 @@ def aberth_batch(coeffs, z0, tol, max_sweeps):
         aa = abs_coeffs[active_rows]
 
         p, dp = horner(ca, zc)
-        # Evaluation noise scale sum_k |a_k| |z|^k.
+        # Evaluation noise scale sum_k |a_k| |z|^k, in its own loop: the
+        # bit-identical ``horner(aa, az)`` also builds an unused derivative
+        # and ran 18-34% slower (m = 12, 32 on one row; 4,000 rows at m = 4).
         az = np.abs(zc)
         s = np.broadcast_to(aa[:, m : m + 1], zc.shape).copy()
         for k in range(m - 1, -1, -1):

@@ -5,7 +5,8 @@ one strictly within eps of a root of the other.  The optimal such pairing
 minimizes the largest matched distance, which is a bottleneck assignment:
 binary-search the sorted n*n pairwise distances, testing each threshold
 with an augmenting-path bipartite matching.  The optimum is exact because
-it is always one of the pairwise distances.
+it is always one of the pairwise distances.  Whether two sequences are
+eps-aligned is a single such matching, on the pairs strictly closer than eps.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polynomials import _require_positive
 from .roots import RootConvergenceError, RootMultiset, UniPoly, find_roots
 
 __all__ = ["Matching", "bottleneck_match", "is_eps_aligned", "empirical_modulus"]
+
+# Halvings of the log-scale delta interval in ``empirical_modulus``.
+BISECTION_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -36,28 +41,53 @@ def _expand(values) -> list[complex]:
     return [complex(v) for v in values]
 
 
-def _feasible_matching(dist: np.ndarray, threshold: float) -> list[int] | None:
-    """Perfect matching in the graph {(i, j): dist[i, j] <= threshold}."""
-    n = dist.shape[0]
-    adj = dist <= threshold
+def _distances(a, b) -> np.ndarray:
+    """The n*n matrix of |a_i - b_j| between two equal-size, nonempty multisets."""
+    av, bv = _expand(a), _expand(b)
+    if len(av) != len(bv):
+        raise ValueError(f"size mismatch: {len(av)} vs {len(bv)}")
+    if not av:
+        raise ValueError("cannot match empty multisets")
+    A = np.asarray(av, dtype=np.complex128)
+    B = np.asarray(bv, dtype=np.complex128)
+    return np.abs(A[:, None] - B[None, :])
+
+
+def _perfect_matching(adj: np.ndarray) -> list[int] | None:
+    """Row i's column ``perm[i]`` in a perfect matching along ``adj``, or None.
+
+    Kuhn's augmenting-path search: each row in turn starts a depth-first
+    search that tries its columns in increasing order and passes a matched
+    column on to that column's row.  The search path is an explicit stack,
+    so its length is not bounded by the interpreter's recursion limit.
+    """
+    n = adj.shape[0]
+    rows, cols = np.nonzero(adj)  # row-major, so each row's columns ascend
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    nbrs = [cols[bounds[i] : bounds[i + 1]] for i in range(n)]
     match_of_b = [-1] * n
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in range(n):
-            if adj[i, j] and not seen[j]:
+    for root in range(n):
+        seen = [False] * n
+        path = [(root, iter(nbrs[root]), -1)]  # (row, untried columns, column in)
+        while path:
+            for j in path[-1][1]:
+                if not seen[j]:
+                    break
+            else:  # no augmenting path through this row: back up
+                path.pop()
+                continue
+            if match_of_b[j] >= 0:
                 seen[j] = True
-                if match_of_b[j] < 0 or augment(match_of_b[j], seen):
+                path.append((match_of_b[j], iter(nbrs[match_of_b[j]]), j))
+            else:  # a free column: flip the path onto it
+                for i, _, j_in in reversed(path):
                     match_of_b[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not augment(i, [False] * n):
+                    j = j_in
+                break
+        else:
             return None
-    perm = [-1] * n
-    for j, i in enumerate(match_of_b):
-        perm[i] = j
-    return perm
+    return np.argsort(match_of_b).tolist()  # the inverse permutation
 
 
 def bottleneck_match(a, b) -> Matching:
@@ -66,37 +96,28 @@ def bottleneck_match(a, b) -> Matching:
     Accepts ``RootMultiset`` instances (expanded by multiplicity) or plain
     sequences of complex numbers.
     """
-    av, bv = _expand(a), _expand(b)
-    if len(av) != len(bv):
-        raise ValueError(f"size mismatch: {len(av)} vs {len(bv)}")
-    if not av:
-        raise ValueError("cannot match empty multisets")
-    A = np.asarray(av, dtype=np.complex128)
-    B = np.asarray(bv, dtype=np.complex128)
-    dist = np.abs(A[:, None] - B[None, :])
-
+    dist = _distances(a, b)
     thresholds = np.unique(dist)
     lo, hi = 0, thresholds.size - 1
     best_perm = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        perm = _feasible_matching(dist, float(thresholds[mid]))
+        perm = _perfect_matching(dist <= thresholds[mid])
         if perm is not None:
             best_perm = perm
             hi = mid - 1
         else:
             lo = mid + 1
     assert best_perm is not None  # full threshold always feasible
-    n = len(best_perm)
-    value = max(float(dist[i, best_perm[i]]) for i in range(n))
+    value = float(dist[np.arange(len(best_perm)), best_perm].max())
     return Matching(perm=tuple(best_perm), bottleneck=value)
 
 
 def is_eps_aligned(a, b, eps: float) -> bool:
-    """True iff the optimal pairing keeps every pair strictly within eps."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return bottleneck_match(a, b).bottleneck < eps
+    """True iff some pairing keeps every pair strictly within eps, which is
+    exactly when the optimal pairing's bottleneck is below eps."""
+    _require_positive("eps", eps)
+    return _perfect_matching(_distances(a, b) < eps) is not None
 
 
 def _unit_noise(n_coeffs: int, seed: int, trial: int) -> np.ndarray:
@@ -116,14 +137,7 @@ def _deform(f: UniPoly, noise: np.ndarray, delta: float) -> UniPoly:
     return UniPoly(f.coeffs + eta)
 
 
-def empirical_modulus(
-    f: UniPoly,
-    eps: float,
-    trials: int = 20,
-    seed: int = 0,
-    steps: int = 40,
-    root_tol: float = 1e-12,
-) -> float:
+def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -> float:
     """Estimate the largest delta keeping random delta-deformations eps-aligned.
 
     Bisects (on a log scale) over delta in [1e-12, eps].  A candidate passes
@@ -133,18 +147,17 @@ def empirical_modulus(
     and the whole estimate is deterministic per seed.  The returned value is
     the largest tested delta that passed.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("eps", eps)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    base_roots = find_roots(f, root_tol)
+    base_roots = find_roots(f)
     noises = [_unit_noise(f.coeffs.size, seed, t) for t in range(trials)]
 
     def passes(delta: float) -> bool:
         for trial, noise in enumerate(noises):
             g = _deform(f, noise, delta)
             try:
-                deformed = find_roots(g, root_tol)
+                deformed = find_roots(g)
             except RootConvergenceError as exc:
                 raise RootConvergenceError(
                     f"trial {trial} at delta={delta:.3e}: {exc}",
@@ -156,15 +169,13 @@ def empirical_modulus(
         return True
 
     lo, hi = np.log10(1e-12), np.log10(eps)
-    best = None
-    if passes(10.0**lo):
-        best = 10.0**lo
-    else:
+    if not passes(10.0**lo):
         raise ArithmeticError(
             "no feasible delta found down to 1e-12; "
             "the polynomial's roots are too sensitive for this eps"
         )
-    for _ in range(steps):
+    best = 10.0**lo
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         delta = 10.0**mid
         if passes(delta):

@@ -516,6 +516,8 @@ def st_poly(g: JetPoly) -> SparsePoly:
 ST_MATCH_TOL = 1e-12
 SIMPLE_ROOT_MIN_DERIV = 1e-6
 LIFT_RESIDUAL_TOL = 1e-9
+# Roots of f closer than this are one multiple root in ``jet_align_roots``.
+CLUSTER_RADIUS = 1e-6
 
 
 def _check_st_match(f: UniPoly, g: JetPoly) -> None:
@@ -593,13 +595,7 @@ class JetAlignment:
         }
 
 
-def jet_align_roots(
-    f: UniPoly,
-    g: JetPoly,
-    order: int | None = None,
-    cluster_radius: float = 1e-6,
-    root_tol: float = 1e-12,
-) -> JetAlignment:
+def jet_align_roots(f: UniPoly, g: JetPoly, order: int | None = None) -> JetAlignment:
     """Pair every simple root of ``f`` with its lifted jet root of ``g``.
 
     Roots of multiplicity above one are reported in ``skipped`` with their
@@ -607,7 +603,7 @@ def jet_align_roots(
     integer-power jet model deliberately does not represent.
     """
     _check_st_match(f, g)
-    clustered = cluster_multiplicities(find_roots(f, root_tol), cluster_radius)
+    clustered = cluster_multiplicities(find_roots(f), CLUSTER_RADIUS)
     pairs: list[tuple[complex, Jet]] = []
     skipped: list[tuple[complex, int, str]] = []
     for value, mult in clustered.roots:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import SparsePoly, coeff_sup_distance
+from .polynomials import SparsePoly, _require_positive, coeff_sup_distance
 from .varieties import SampleCloud, complex_grid_axis
 
 __all__ = [
@@ -79,8 +79,7 @@ def hausdorff(W: SampleCloud, Z: SampleCloud) -> float:
 
 def is_eps_set_deformation(W: SampleCloud, Z: SampleCloud, eps: float) -> bool:
     """True iff the Hausdorff distance is strictly below eps (symmetric)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("eps", eps)
     return hausdorff(W, Z) < eps
 
 
@@ -229,12 +228,9 @@ def counterexample_report(
     A window too small to contain any witness yields status
     ``"no witness in window"``, not an error.
     """
-    if delta_prime <= 0:
-        raise ValueError(f"delta_prime must be positive, got {delta_prime}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    _require_positive("delta_prime", delta_prime)
+    _require_positive("eps", eps)
+    _require_positive("T", T)
     if measure_grid is None:
         measure_grid = 8 * grid + 1
     if measure_grid < 3:

@@ -45,6 +45,11 @@ def _require_finite(c: complex, where: str) -> complex:
     return c
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):  # NaN and infinities fail
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _check_index(exps: Sequence[int], nvars: int) -> tuple[int, ...]:
     idx = tuple(int(e) for e in exps)
     if len(idx) != nvars:
@@ -333,8 +338,7 @@ def coeff_sup_distance(p: SparsePoly, q: SparsePoly) -> float:
 
 def is_delta_deformation(p: SparsePoly, q: SparsePoly, delta: float) -> bool:
     """True iff every coefficient of ``q`` is strictly within ``delta`` of ``p``'s."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _require_positive("delta", delta)
     return coeff_sup_distance(p, q) < delta
 
 
@@ -352,8 +356,7 @@ def random_deformation(p: SparsePoly, delta: float, seed: int) -> SparsePoly:
     so the output is always a strict delta-deformation with the same support.
     Deterministic for a fixed seed.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _require_positive("delta", delta)
     rng = np.random.default_rng(seed)
     radius = delta * (1.0 - 1e-9)
     out: dict[tuple[int, ...], complex] = {}

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .polynomials import SparsePoly
+from .polynomials import SparsePoly, _require_positive
 
 __all__ = [
     "UniPoly",
@@ -36,6 +36,8 @@ MAX_DEGREE = 64
 MAX_SWEEPS = 200
 # Fixed rotation (radians) applied to the initial circle of estimates.
 INIT_ANGLE = math.sqrt(2.0)
+# Newton steps tried on every root after the Aberth sweeps.
+POLISH_STEPS = 2
 
 
 class RootConvergenceError(RuntimeError):
@@ -76,18 +78,15 @@ class UniPoly:
     def degree(self) -> int:
         return self._coeffs.size - 1
 
+    def _horner(self, z: complex) -> tuple[complex, complex]:
+        p, dp = _kernels.horner(self._coeffs[None, :], np.full((1, 1), z, dtype=np.complex128))
+        return complex(p[0, 0]), complex(dp[0, 0])
+
     def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in self._coeffs[::-1]:
-            acc = acc * z + c
-        return acc
+        return self._horner(z)[0]
 
     def deriv_at(self, z: complex) -> complex:
-        acc = 0j
-        n = self.degree
-        for k in range(n, 0, -1):
-            acc = acc * z + k * self._coeffs[k]
-        return acc
+        return self._horner(z)[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and np.array_equal(self._coeffs, other._coeffs)
@@ -159,11 +158,11 @@ def _initial_points_batch(coeffs: np.ndarray) -> np.ndarray:
     return cauchy[:, None] * phases[None, :]
 
 
-def _polish_batch(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2):
+def _polish_batch(coeffs: np.ndarray, roots: np.ndarray):
     """Newton steps kept only when they reduce |p|; returns roots, |p(root)|."""
     p, dp = _kernels.horner(coeffs, roots)
     res = np.abs(p)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
         cand = roots - step
@@ -196,19 +195,21 @@ def find_roots(p: UniPoly, tol: float = 1e-12) -> RootMultiset:
     Raises
     ------
     RootConvergenceError
-        If some root is still moving after the sweep cap; the exception
-        carries the best iterate and its residual.
+        If some root is still moving after the sweep cap, or the residual
+        bound is not finite; the exception carries the best iterate and its
+        residual.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _require_positive("tol", tol)
     roots_b, res_b, conv_b = solve_batch(p.coeffs[None, :], tol)
     roots, res, converged = roots_b[0], res_b[0], bool(conv_b[0])
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     residual_bound = float(np.max(res)) / scale
-    if not converged:
+    if not converged or not math.isfinite(residual_bound):
+        why = f"did not converge within {MAX_SWEEPS} sweeps"
+        if converged:
+            why = "has a residual bound that is not finite"
         raise RootConvergenceError(
-            f"root iteration did not converge within {MAX_SWEEPS} sweeps "
-            f"(residual {residual_bound:.3e})",
+            f"root iteration {why} (residual {residual_bound:.3e})",
             best_roots=[complex(z) for z in roots],
             residual=residual_bound,
         )
@@ -226,8 +227,7 @@ def cluster_multiplicities(r: RootMultiset, radius: float = 1e-6) -> RootMultise
     preserved.  The clustering radius is caller-controlled because the right
     value depends on how strongly repeated roots split under rounding.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _require_positive("radius", radius)
     entries = list(r.roots)
     n = len(entries)
     parent = list(range(n))
@@ -256,7 +256,9 @@ def cluster_multiplicities(r: RootMultiset, radius: float = 1e-6) -> RootMultise
 
     if r.poly is not None:
         scale = max(1.0, float(np.max(np.abs(r.poly.coeffs))))
-        bound = max((abs(r.poly(v)) for v, _ in merged), default=0.0) / scale
+        centroids = np.array([[v for v, _ in merged]], dtype=np.complex128)
+        values, _ = _kernels.horner(r.poly.coeffs[None, :], centroids)
+        bound = float(np.abs(values).max(initial=0.0)) / scale
     else:
         bound = r.residual_bound
     return RootMultiset(roots=tuple(merged), residual_bound=bound, poly=r.poly)

@@ -38,6 +38,7 @@ from .jets import (
 from .polynomials import (
     PolySystem,
     SparsePoly,
+    _require_positive,
     coeff_sup_distance,
     degree_and_support,
 )
@@ -77,8 +78,7 @@ class Hypercube:
     n: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        _require_positive("T", self.T)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
@@ -90,8 +90,7 @@ class Hypercube:
 
 def complex_grid_axis(T: float, resolution: int) -> np.ndarray:
     """Grid values for one complex coordinate, C-ordered by (re, im) index."""
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    _require_positive("T", T)
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     g = np.linspace(-T, T, resolution)
@@ -158,8 +157,7 @@ class SampleCloud:
 
 def v_eps_member(g: SparsePoly, w: Sequence[complex], eps: float) -> bool:
     """True iff |g(w)| < eps (strict)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("eps", eps)
     return abs(g.evaluate(w)) < eps
 
 
@@ -171,9 +169,8 @@ def delta_bound(eps: float, T: float, d: int, support_size: int) -> float:
     bounded by ``T**d`` there.  Requires ``T >= 1`` (so lower-degree
     monomials are also covered by ``T**d``).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if T < 1:
+    _require_positive("eps", eps)
+    if not T >= 1:  # also false for NaN
         raise ValueError(f"the bound requires T >= 1, got {T}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
@@ -182,13 +179,26 @@ def delta_bound(eps: float, T: float, d: int, support_size: int) -> float:
     return eps / (float(T) ** d * support_size)
 
 
-def _require_deformation_within(f: SparsePoly, g: SparsePoly, limit: float) -> float:
-    """Check the strict coefficient bound, naming the worst offender."""
+def _deformation_precondition(
+    f: SparsePoly, g: SparsePoly, eps: float, T: float
+) -> tuple[float, float]:
+    """``(limit, dist)``: the pair's ``delta_bound`` and g's coefficient distance.
+
+    The quantitative bound indexes both polynomials by one support set, so
+    its degree and support size come from the union support of the pair,
+    with zero-filled missing coefficients.  Raises unless ``f`` is nonzero
+    and every coefficient of ``g`` deviates strictly below the bound, naming
+    the worst offender.
+    """
+    if f.is_zero():
+        raise ValueError("the base polynomial must be nonzero")
+    ft, gt = f.terms, g.terms
+    idxs = ft.keys() | gt.keys()
+    limit = delta_bound(eps, T, max(sum(i) for i in idxs), len(idxs))
     if f.nvars != g.nvars:
         raise ValueError(f"variable count mismatch: {f.nvars} vs {g.nvars}")
-    ft, gt = f.terms, g.terms
     worst_idx, worst = None, -1.0
-    for idx in ft.keys() | gt.keys():
+    for idx in idxs:
         dv = abs(gt.get(idx, 0j) - ft.get(idx, 0j))
         if dv > worst:
             worst_idx, worst = idx, dv
@@ -197,20 +207,7 @@ def _require_deformation_within(f: SparsePoly, g: SparsePoly, limit: float) -> f
             f"coefficient at {worst_idx} deviates by {worst:.6g}, "
             f"not strictly below the bound {limit:.6g}"
         )
-    return worst
-
-
-def _union_degree_and_support(f: SparsePoly, g: SparsePoly) -> tuple[int, int]:
-    """Degree and size of the common (union) support of the pair.
-
-    The quantitative bound indexes both polynomials by one support set;
-    comparing polynomials with different supports therefore uses the union
-    with zero-filled missing coefficients.
-    """
-    idxs = f.terms.keys() | g.terms.keys()
-    if not idxs:
-        raise ValueError("both polynomials are zero")
-    return max(sum(i) for i in idxs), len(idxs)
+    return limit, worst
 
 
 def _term_arrays(p: SparsePoly):
@@ -266,11 +263,7 @@ def lemma_check(
     reported supremum is guaranteed below eps.  The bound's degree and
     support size come from the union support of the pair.
     """
-    if f.is_zero():
-        raise ValueError("the base polynomial must be nonzero")
-    d, support = _union_degree_and_support(f, g)
-    limit = delta_bound(eps, T, d, support)
-    dist = _require_deformation_within(f, g, limit)
+    limit, dist = _deformation_precondition(f, g, eps, T)
     diff = g - f
     axis = complex_grid_axis(T, grid)
     axes = [axis] * f.nvars
@@ -469,11 +462,7 @@ def containment_check(
     violations; sampling error is accounted for by reporting
     ``eps_effective = eps - lipschitz_bound(g, T) * tol``.
     """
-    if f.is_zero():
-        raise ValueError("the base polynomial must be nonzero")
-    d, support = _union_degree_and_support(f, g)
-    limit = delta_bound(eps, T, d, support)
-    dist = _require_deformation_within(f, g, limit)
+    limit, dist = _deformation_precondition(f, g, eps, T)
 
     if axis is None:
         axis = default_axis(f)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,3 +196,136 @@ def test_modulus_propagates_solver_failure_with_context(monkeypatch):
     with pytest.raises(RootConvergenceError) as exc:
         empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=2)
     assert "trial 0" in str(exc.value)
+
+
+# -- the iterative matching against the earlier recursive search -------------------
+
+
+def recursive_bottleneck(a, b):
+    """Reference: the earlier recursive augmenting-path search, verbatim in
+    its visiting order, inside the same binary search over the distances."""
+    A = np.asarray([complex(x) for x in a], dtype=np.complex128)
+    B = np.asarray([complex(x) for x in b], dtype=np.complex128)
+    dist = np.abs(A[:, None] - B[None, :])
+    n = dist.shape[0]
+
+    def feasible(threshold):
+        adj = dist <= threshold
+        match_of_b = [-1] * n
+
+        def augment(i, seen):
+            for j in range(n):
+                if adj[i, j] and not seen[j]:
+                    seen[j] = True
+                    if match_of_b[j] < 0 or augment(match_of_b[j], seen):
+                        match_of_b[j] = i
+                        return True
+            return False
+
+        for i in range(n):
+            if not augment(i, [False] * n):
+                return None
+        perm = [-1] * n
+        for j, i in enumerate(match_of_b):
+            perm[i] = j
+        return perm
+
+    thresholds = np.unique(dist)
+    lo, hi = 0, thresholds.size - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        perm = feasible(float(thresholds[mid]))
+        if perm is not None:
+            best, hi = perm, mid - 1
+        else:
+            lo = mid + 1
+    return tuple(best), max(float(dist[i, best[i]]) for i in range(n))
+
+
+def staircase(n):
+    """The one optimal pairing sends a_i to b_{i+1} and the last a to b_0, so
+    the last row's augmenting path runs back through every earlier row."""
+    return list(range(n - 1)) + [-1], [j - 0.5 for j in range(n)]
+
+
+def test_matches_recursive_search_perm_and_bottleneck():
+    rng = np.random.default_rng(808)
+    cases = []
+    for _ in range(120):
+        n = int(rng.integers(1, 33))
+        cases.append((rng.normal(size=n) + 1j * rng.normal(size=n),
+                      rng.normal(size=n) + 1j * rng.normal(size=n)))
+    # Ties: repeated values and integer lattices share many distances.
+    for _ in range(40):
+        n = int(rng.integers(1, 17))
+        cases.append((rng.integers(-2, 3, size=n) + 1j * rng.integers(-2, 3, size=n),
+                      rng.integers(-2, 3, size=n) + 1j * rng.integers(-2, 3, size=n)))
+    cases.append(staircase(40))
+    for a, b in cases:
+        m = bottleneck_match(a, b)
+        assert (m.perm, m.bottleneck) == recursive_bottleneck(a, b)
+
+
+def test_staircase_needs_no_recursion():
+    # The augmenting path at threshold 0.5 is n rows long; a recursive search
+    # needs a frame per row and overflows the lowered limit.
+    code = (
+        "import sys\n"
+        "from deformkit import bottleneck_match\n"
+        "sys.setrecursionlimit(150)\n"
+        "n = 400\n"
+        "a = list(range(n - 1)) + [-1]\n"
+        "b = [j - 0.5 for j in range(n)]\n"
+        "m = bottleneck_match(a, b)\n"
+        "assert m.perm == tuple(range(1, n)) + (0,), m.perm[:5]\n"
+        "assert m.bottleneck == 0.5, m.bottleneck\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_eps_alignment_agrees_with_bottleneck():
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        value = bottleneck_match(a, b).bottleneck
+        dist = np.abs(a[:, None] - b[None, :])
+        # Every pairwise distance is a boundary case, the optimum among them.
+        probes = [float(d) for d in np.unique(dist)]
+        probes += [np.nextafter(value, np.inf), np.nextafter(value, 0), 2 * value]
+        for eps in probes:
+            if eps > 0:
+                assert is_eps_aligned(a, b, eps) == (value < eps), (n, eps)
+
+
+def test_eps_alignment_runs_one_matching(monkeypatch):
+    from deformkit import align as align_mod
+
+    real = align_mod._perfect_matching
+    calls = []
+
+    def counted(adj):
+        calls.append(adj.shape)
+        return real(adj)
+
+    monkeypatch.setattr(align_mod, "_perfect_matching", counted)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=12) + 1j * rng.normal(size=12)
+    b = a + 0.01 * rng.normal(size=12)
+    assert is_eps_aligned(a, b, 0.5)
+    assert calls == [(12, 12)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_alignment_rejects_non_positive_eps(bad):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        is_eps_aligned([0, 1], [0, 1], bad)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        empirical_modulus(UniPoly([-1, 0, 1]), bad, trials=1)

@@ -301,22 +301,38 @@ def test_non_finite_cloud_is_exit_one(files, tmp_path, capsys):
 
 
 def test_non_finite_report_is_exit_two(tmp_path, capsys):
-    # Horner overflows on t^2 + 1e200, so the residual bound is infinite;
-    # the report would not be strict JSON and must not be written.
+    # The sup-norm distance between clouds at +-1e308 overflows to inf; the
+    # report would not be strict JSON and must not be written.
+    W, Z = tmp_path / "W.csv", tmp_path / "Z.csv"
+    W.write_text("re_1,im_1\n1e308,0.0\n")
+    Z.write_text("re_1,im_1\n-1e308,0.0\n")
+    out = tmp_path / "h.json"
+    with np.errstate(all="ignore"):
+        rc = main(["hausdorff", "--W", str(W), "--Z", str(Z), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == [W, Z]
+    with np.errstate(all="ignore"):
+        rc = main(["hausdorff", "--W", str(W), "--Z", str(Z)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
+def test_infinite_root_residual_is_exit_two(tmp_path, capsys):
+    # Horner overflows on t^2 + 1e200, so the residual bound is infinite and
+    # the solver refuses the roots before any report exists.
     poly = tmp_path / "huge.json"
     poly.write_text(json.dumps(UniPoly([1e200, 0, 1]).to_json_dict()))
     out = tmp_path / "roots.json"
     with np.errstate(all="ignore"):
         rc = main(["roots", "--poly", str(poly), "--out", str(out), "--no-timestamp"])
     assert rc == 2
-    assert not out.exists()
     assert list(tmp_path.iterdir()) == [poly]
-    with np.errstate(all="ignore"):
-        rc = main(["roots", "--poly", str(poly), "--no-timestamp"])
-    assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not JSON compliant" in captured.err
+    assert "residual bound that is not finite" in captured.err
 
 
 def test_counterexample_report_cli(files, tmp_path):

@@ -149,6 +149,19 @@ def test_certificate_parameter_validation():
         counterexample_report(0.1, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_certificate_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="delta_prime must be positive"):
+        counterexample_report(bad, 0.5, 12.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        counterexample_report(0.1, bad, 12.0)
+    with pytest.raises(ValueError, match="T must be positive"):
+        counterexample_report(0.1, 0.5, bad)
+    w = cloud([[0j, 0j]])
+    with pytest.raises(ValueError, match="eps must be positive"):
+        is_eps_set_deformation(w, w, bad)
+
+
 def test_lattice_without_disk_points_is_rejected():
     # The 2-point lattice has its corners at T*sqrt(2), outside the disk, so
     # no witness has a measured distance: that is not a certificate.

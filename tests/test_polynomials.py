@@ -183,6 +183,15 @@ def test_deformation_rejects_bad_delta():
         is_delta_deformation(p, p, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_deformation_rejects_non_finite_delta(bad):
+    p = sp(1, {(1,): 1})
+    with pytest.raises(ValueError, match="delta must be positive"):
+        is_delta_deformation(p, p, bad)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        random_deformation(p, bad, seed=0)
+
+
 # -- degree and support ------------------------------------------------------------
 
 

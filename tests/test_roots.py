@@ -153,3 +153,36 @@ def test_residual_bound_definition():
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     expected = max(abs(p(v)) for v, _ in r.roots) / scale
     assert r.residual_bound == pytest.approx(expected, abs=1e-18)
+
+
+def test_infinite_residual_is_not_a_result():
+    # Horner overflows at |z| ~ 1e200, so the residual bound is infinite;
+    # the roots cannot be certified and must not be returned.
+    with np.errstate(all="ignore"):
+        with pytest.raises(RootConvergenceError) as exc:
+            find_roots(UniPoly([1e200, 0, 1]))
+    assert "not finite" in str(exc.value)
+    assert len(exc.value.best_roots) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+def test_root_parameters_must_be_positive(bad):
+    r = find_roots(UniPoly([-1, 0, 1]))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        cluster_multiplicities(r, bad)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_roots(UniPoly([-1, 0, 1]), bad)
+
+
+def test_unipoly_is_the_shared_horner():
+    from deformkit import _kernels
+
+    rng = np.random.default_rng(44)
+    for deg in (1, 2, 7, 16, 33):
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        poly = UniPoly(c)
+        for z in 1.3 * (rng.normal(size=5) + 1j * rng.normal(size=5)):
+            p, dp = _kernels.horner(c[None, :], np.array([[z]]))
+            assert poly(z) == p[0, 0]
+            assert poly.deriv_at(z) == dp[0, 0]
+            assert type(poly(z)) is complex and type(poly.deriv_at(z)) is complex

@@ -76,6 +76,31 @@ def test_budget_requires_unit_window():
         delta_bound(0.1, 0.5, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_entry_points_reject_non_finite_parameters(bad):
+    f = sp(1, {(1,): 1.0})
+    with pytest.raises(ValueError, match="eps must be positive"):
+        delta_bound(bad, 1.0, 1, 1)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        lemma_check(f, f, T=1.0, eps=bad)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        containment_check(f, f, T=1.0, eps=bad)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        v_eps_member(f, [0j], bad)
+    with pytest.raises(ValueError, match="T must be positive"):
+        complex_grid_axis(bad, 5)
+    with pytest.raises(ValueError, match="T must be positive"):
+        Hypercube(bad, 1)
+    if bad > 0:  # +inf passes T >= 1; the grid axis above rejects it
+        return
+    with pytest.raises(ValueError, match="requires T >= 1"):
+        delta_bound(0.1, bad, 1, 1)
+    with pytest.raises(ValueError, match="requires T >= 1"):
+        lemma_check(f, f, T=bad, eps=0.1)
+    with pytest.raises(ValueError, match="requires T >= 1"):
+        containment_check(f, f, T=bad, eps=0.1)
+
+
 def test_budget_monotonicity():
     base = delta_bound(0.5, 2, 2, 3)
     assert delta_bound(0.6, 2, 2, 3) > base
