@@ -4,6 +4,8 @@ Horner evaluation and batched Aberth sweeps.
 ``BACKEND`` names this implementation; every CLI report records it.
 """
 
+import math
+
 import numpy as np
 
 BACKEND = "python"
@@ -54,11 +56,12 @@ def grid_sup_abs(exps, coeffs, axes):
         return 0.0, -1
     if coeffs.size == 0:
         return 0.0, 0
-    mag2, flat = _sup_recurse(exps, coeffs, axes)
-    return float(np.sqrt(mag2)), int(flat)
+    (_, sup), flat = _sup_recurse(exps, coeffs, axes)
+    return sup, int(flat)
 
 
 def _sup_recurse(exps, coeffs, axes):
+    """``((sup**2, sup), flat)``; the pair is the ranking key of a supremum."""
     sizes = [a.size for a in axes]
     outer = 1
     for s in sizes[:-1]:
@@ -67,12 +70,12 @@ def _sup_recurse(exps, coeffs, axes):
         # Peel the first axis and recurse so the materialized outer grid
         # stays bounded.
         tail = int(np.prod(sizes[1:], dtype=np.int64))
-        best = (-1.0, -1)
+        best = ((-1.0, math.nan), -1)
         for k, v in enumerate(axes[0]):
             sub_coeffs = coeffs * v ** exps[:, 0]
-            mag2, flat = _sup_recurse(exps[:, 1:], sub_coeffs, axes[1:])
-            if mag2 > best[0]:
-                best = (mag2, k * tail + flat)
+            key, flat = _sup_recurse(exps[:, 1:], sub_coeffs, axes[1:])
+            if key > best[0]:
+                best = (key, k * tail + flat)
         return best
     return _sup_gemm(exps, coeffs, axes)
 
@@ -97,19 +100,27 @@ def _sup_gemm(exps, coeffs, axes):
 
     pow_last = last[:, None] ** g_last[None, :]
 
-    best_mag2 = -1.0
+    # Chunks rank by (sup**2, sup): the squares decide unless both overflowed.
+    best = (-1.0, math.nan)  # a grid of NaN values reports a NaN supremum
     best_flat = 0
     chunk = max(1, _CHUNK_ELEMS // max(outer, 1))
     for start in range(0, n_last, chunk):
         vals = pow_last[start : start + chunk] @ partial
-        mag2 = vals.real**2
-        mag2 += vals.imag**2
+        with np.errstate(over="ignore"):
+            mag2 = vals.real**2
+            mag2 += vals.imag**2
         top = float(mag2.max())
-        if top > best_mag2:
-            best_mag2 = top
+        if top == np.inf:
+            # A value above ~1.3e154 squared to inf: rank this chunk by |value|.
+            mag2 = np.abs(vals)
+            key = (top, float(mag2.max()))
+        else:
+            key = (top, math.sqrt(top))
+        if key > best:
+            best = key
             kk, m = divmod(int(np.argmax(mag2)), outer)
             best_flat = m * n_last + (start + kk)
-    return best_mag2, best_flat
+    return best, best_flat
 
 
 def horner(coeffs, z):

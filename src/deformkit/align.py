@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import _require_positive
-from .roots import RootConvergenceError, RootMultiset, UniPoly, find_roots
+from .roots import (
+    RootConvergenceError,
+    RootMultiset,
+    UniPoly,
+    _certify_row,
+    find_roots,
+    solve_batch,
+)
 
 __all__ = ["Matching", "bottleneck_match", "is_eps_aligned", "empirical_modulus"]
 
@@ -146,6 +153,11 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     and scaled by the candidate delta, so trials are schedule-independent
     and the whole estimate is deterministic per seed.  The returned value is
     the largest tested delta that passed.
+
+    Each candidate solves all its trials in one ``solve_batch`` call (rows
+    are independent, so each equals its one-row solve), then judges them in
+    trial order: the first unconverged trial raises, the first unaligned one
+    fails the candidate, and later trials are not judged.
     """
     _require_positive("eps", eps)
     if trials < 1:
@@ -154,17 +166,18 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     noises = [_unit_noise(f.coeffs.size, seed, t) for t in range(trials)]
 
     def passes(delta: float) -> bool:
-        for trial, noise in enumerate(noises):
-            g = _deform(f, noise, delta)
+        deformed = [_deform(f, noise, delta) for noise in noises]
+        roots, res, converged = solve_batch(np.stack([g.coeffs for g in deformed]))
+        for trial, g in enumerate(deformed):
             try:
-                deformed = find_roots(g)
+                g_roots = _certify_row(g, roots[trial], res[trial], converged[trial])
             except RootConvergenceError as exc:
                 raise RootConvergenceError(
                     f"trial {trial} at delta={delta:.3e}: {exc}",
                     best_roots=exc.best_roots,
                     residual=exc.residual,
                 ) from exc
-            if not is_eps_aligned(base_roots, deformed, eps):
+            if not is_eps_aligned(base_roots, g_roots, eps):
                 return False
         return True
 

@@ -180,13 +180,40 @@ def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
     """Root-find a batch of same-degree polynomials (ascending coefficients).
 
     Returns ``(roots (B, m), residuals (B, m), converged (B,))``.  Rows are
-    independent; used heavily by hypersurface sampling.
+    independent: each row's values are those of its one-row solve.  A row
+    whose roots or residuals are not all finite counts as unconverged.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     z0 = _initial_points_batch(coeffs)
     roots, _, converged = _kernels.aberth_batch(coeffs, z0, tol, MAX_SWEEPS)
     roots, res = _polish_batch(coeffs, roots)
+    converged &= np.isfinite(roots).all(axis=1) & np.isfinite(res).all(axis=1)
     return roots, res, converged
+
+
+def _certify_row(
+    p: UniPoly, roots: np.ndarray, res: np.ndarray, converged: bool
+) -> RootMultiset:
+    """One ``solve_batch`` row of ``p`` as a certified ``RootMultiset``.
+
+    Raises ``RootConvergenceError`` (see ``find_roots``) for an unconverged
+    row; the message says when its residual bound is not finite.
+    """
+    scale = max(1.0, float(np.max(np.abs(p.coeffs))))
+    residual_bound = float(np.max(res)) / scale
+    if not converged:
+        why = f"did not converge within {MAX_SWEEPS} sweeps"
+        if not math.isfinite(residual_bound):
+            why = "has a residual bound that is not finite"
+        raise RootConvergenceError(
+            f"root iteration {why} (residual {residual_bound:.3e})",
+            best_roots=[complex(z) for z in roots],
+            residual=residual_bound,
+        )
+    # Deterministic presentation order: by (real, imag).
+    order = np.lexsort((roots.imag, roots.real))
+    listed = tuple((complex(roots[i]), 1) for i in order)
+    return RootMultiset(roots=listed, residual_bound=residual_bound, poly=p)
 
 
 def find_roots(p: UniPoly, tol: float = 1e-12) -> RootMultiset:
@@ -200,23 +227,8 @@ def find_roots(p: UniPoly, tol: float = 1e-12) -> RootMultiset:
         residual.
     """
     _require_positive("tol", tol)
-    roots_b, res_b, conv_b = solve_batch(p.coeffs[None, :], tol)
-    roots, res, converged = roots_b[0], res_b[0], bool(conv_b[0])
-    scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-    residual_bound = float(np.max(res)) / scale
-    if not converged or not math.isfinite(residual_bound):
-        why = f"did not converge within {MAX_SWEEPS} sweeps"
-        if converged:
-            why = "has a residual bound that is not finite"
-        raise RootConvergenceError(
-            f"root iteration {why} (residual {residual_bound:.3e})",
-            best_roots=[complex(z) for z in roots],
-            residual=residual_bound,
-        )
-    # Deterministic presentation order: by (real, imag).
-    order = np.lexsort((roots.imag, roots.real))
-    listed = tuple((complex(roots[i]), 1) for i in order)
-    return RootMultiset(roots=listed, residual_bound=residual_bound, poly=p)
+    roots, res, converged = solve_batch(p.coeffs[None, :], tol)
+    return _certify_row(p, roots[0], res[0], converged[0])
 
 
 def cluster_multiplicities(r: RootMultiset, radius: float = 1e-6) -> RootMultiset:

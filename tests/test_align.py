@@ -179,23 +179,146 @@ def test_matching_serialization():
     assert m.to_json_dict() == {"perm": [0, 1], "bottleneck": m.bottleneck}
 
 
-def test_modulus_propagates_solver_failure_with_context(monkeypatch):
+def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None):
+    """Route align's batched solves through the real one, but in the first
+    batch move trial ``unaligned`` far away and flag trial ``unconverged``.
+    Returns the list of batch sizes seen."""
     from deformkit import align as align_mod
+
+    real = align_mod.solve_batch
+    sizes = []
+
+    def tampered(coeffs, tol=1e-12):
+        roots, res, converged = real(coeffs, tol)
+        if not sizes:
+            if unaligned is not None:
+                roots[unaligned] += 10.0
+            if unconverged is not None:
+                converged[unconverged] = False
+        sizes.append(len(coeffs))
+        return roots, res, converged
+
+    monkeypatch.setattr(align_mod, "solve_batch", tampered)
+    return sizes
+
+
+def test_modulus_propagates_solver_failure_with_context(monkeypatch):
     from deformkit.roots import RootConvergenceError
 
-    real = align_mod.find_roots
-    calls = {"n": 0}
-
-    def flaky(p, tol=1e-12):
-        calls["n"] += 1
-        if calls["n"] > 1:  # base solve succeeds, first trial fails
-            raise RootConvergenceError("forced failure", best_roots=[], residual=1.0)
-        return real(p, tol)
-
-    monkeypatch.setattr(align_mod, "find_roots", flaky)
+    tamper_first_batch(monkeypatch, unconverged=0)  # base solve succeeds, first trial fails
     with pytest.raises(RootConvergenceError) as exc:
         empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=2)
     assert "trial 0" in str(exc.value)
+
+
+def test_modulus_unaligned_trial_decides_before_a_later_unconverged_one(monkeypatch):
+    # Trial 2 fails the first candidate (delta = 1e-12), so trial 5 is never
+    # judged: no RootConvergenceError, just no feasible delta.
+    tamper_first_batch(monkeypatch, unaligned=2, unconverged=5)
+    with pytest.raises(ArithmeticError, match="no feasible delta"):
+        empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=8)
+
+
+def test_modulus_unconverged_trial_raises_before_a_later_unaligned_one(monkeypatch):
+    from deformkit.roots import RootConvergenceError
+
+    tamper_first_batch(monkeypatch, unaligned=5, unconverged=2)
+    with pytest.raises(RootConvergenceError) as exc:
+        empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=8)
+    assert str(exc.value).startswith("trial 2 at delta=1.000e-12: ")
+
+
+def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
+    from deformkit import align as align_mod
+    from deformkit import roots as roots_mod
+
+    steps = tamper_first_batch(monkeypatch)  # counts align's batches only
+    real = roots_mod.solve_batch
+    base = []
+
+    def counted(coeffs, tol=1e-12):
+        base.append(len(coeffs))
+        return real(coeffs, tol)
+
+    monkeypatch.setattr(roots_mod, "solve_batch", counted)
+    empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=7)
+    assert base == [1]  # the base solve, through find_roots
+    # The feasibility check at 1e-12, then one batch per halving.
+    assert steps == [7] * (align_mod.BISECTION_STEPS + 1)
+
+
+# -- batched trials against the earlier sequential bisection -----------------------
+
+
+def sequential_modulus(f, eps, trials, seed):
+    """Reference: the earlier ``empirical_modulus``, one ``find_roots`` per
+    trial, judged in trial order with an exit at the first unaligned one."""
+    from deformkit.align import BISECTION_STEPS
+    from deformkit.roots import RootConvergenceError
+
+    base_roots = find_roots(f)
+    noises = [_unit_noise(f.coeffs.size, seed, t) for t in range(trials)]
+
+    def passes(delta):
+        for trial, noise in enumerate(noises):
+            g = _deform(f, noise, delta)
+            try:
+                deformed = find_roots(g)
+            except RootConvergenceError as exc:
+                raise RootConvergenceError(
+                    f"trial {trial} at delta={delta:.3e}: {exc}",
+                    best_roots=exc.best_roots,
+                    residual=exc.residual,
+                ) from exc
+            if not is_eps_aligned(base_roots, deformed, eps):
+                return False
+        return True
+
+    lo, hi = np.log10(1e-12), np.log10(eps)
+    if not passes(10.0**lo):
+        raise ArithmeticError("no feasible delta found down to 1e-12")
+    best = 10.0**lo
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        delta = 10.0**mid
+        if passes(delta):
+            best = delta
+            lo = mid
+        else:
+            hi = mid
+    return float(best)
+
+
+def modulus_shapes(rng):
+    """Degree 8-32: well-conditioned ones where every step passes, and ones
+    where the bisection is binding (an escaping root, a near-double pair, a
+    4-cluster and the scaled Wilkinson-10)."""
+
+    def spread(n):
+        theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n
+        return rng.uniform(0.9, 1.1, n) * np.exp(1j * theta)
+
+    def from_roots(roots, lead=1.0):
+        return UniPoly((lead * np.poly(roots))[::-1])
+
+    shapes = {f"wellcond{d}": from_roots(spread(d), 10.0) for d in (8, 12, 32)}
+    far = -rng.uniform(4.2, 4.4) * np.exp(1j * rng.uniform(-0.05, 0.05))
+    shapes["escape16"] = from_roots(np.append(spread(15), far))
+    r = spread(9)
+    pair = r[0] + 1e-4 * np.exp(2j * np.pi * rng.random())
+    shapes["neardouble10"] = from_roots(np.append(r, pair))
+    r = spread(8)
+    cluster = r[0] + 1e-3 * np.exp(2j * np.pi * (np.arange(4) / 4 + rng.random()))
+    shapes["cluster12"] = from_roots(np.append(r[1:], cluster))
+    shapes["wilkinson10"] = from_roots(np.arange(1, 11) / 10.0)
+    return shapes
+
+
+def test_batched_modulus_equals_sequential_bit_for_bit():
+    for name, f in modulus_shapes(np.random.default_rng(11)).items():
+        want = sequential_modulus(f, 0.01, trials=20, seed=11)
+        got = empirical_modulus(f, 0.01, trials=20, seed=11)
+        assert got.hex() == want.hex(), name
 
 
 # -- the iterative matching against the earlier recursive search -------------------

@@ -76,6 +76,29 @@ def test_grid_sup_empty_cases():
     assert _kernels.grid_sup_abs(exps, coeffs, axes) == (0.0, -1)
 
 
+def test_grid_sup_survives_overflowing_squares(monkeypatch):
+    # |value|**2 overflows above ~1.3e154; the supremum and its argmax must
+    # still be the brute-force ones.  A small chunk size puts overflowed and
+    # finite chunks side by side, and overflowed chunks next to each other.
+    monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", 16)
+    rng = np.random.default_rng(1601)
+    for scale in (1e160, 1e200, 1e300):
+        for _ in range(6):
+            exps, coeffs, axes = random_problem(rng)
+            axes = [a[:9] for a in axes]
+            coeffs = coeffs * scale
+            s, flat = _kernels.grid_sup_abs(exps, coeffs, axes)
+            b, bflat = brute_sup(exps, coeffs, axes)
+            assert s == pytest.approx(b, rel=1e-11)
+            assert flat == bflat
+    # Values from 1e139 to 1e160 along one axis: early chunks stay finite.
+    axis = np.linspace(0.001, 1.0, 50).astype(np.complex128)
+    exps = np.array([[7]], dtype=np.int64)
+    coeffs = np.array([1e160 + 0j])
+    s, flat = _kernels.grid_sup_abs(exps, coeffs, [axis])
+    assert (s, flat) == (1e160, 49)
+
+
 def test_grid_evaluator_matches_pointwise_evaluation():
     rng = np.random.default_rng(13)
     for _ in range(10):

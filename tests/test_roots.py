@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformkit import (
     RootConvergenceError,
@@ -9,6 +11,7 @@ from deformkit import (
     cluster_multiplicities,
     find_roots,
 )
+from deformkit.roots import solve_batch
 
 
 def expand_ascending(lead, roots):
@@ -163,6 +166,59 @@ def test_infinite_residual_is_not_a_result():
             find_roots(UniPoly([1e200, 0, 1]))
     assert "not finite" in str(exc.value)
     assert len(exc.value.best_roots) == 2
+
+
+# -- batched rows ------------------------------------------------------------------
+
+
+def assert_rows_equal_one_row_solves(coeffs, roots, res, converged, rows):
+    for i, b in enumerate(rows):
+        r1, s1, c1 = solve_batch(coeffs[b : b + 1])
+        assert roots[i].tobytes() == r1[0].tobytes(), b
+        assert res[i].tobytes() == s1[0].tobytes(), b
+        assert converged[i] == c1[0], b
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    deg=st.integers(1, 32),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_rows_do_not_depend_on_their_batch(deg, size, seed, data):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(size, 1))
+    coeffs = scale * (rng.normal(size=(size, deg + 1)) + 1j * rng.normal(size=(size, deg + 1)))
+    order = data.draw(st.permutations(range(size)))
+    roots, res, converged = solve_batch(coeffs[order])
+    assert_rows_equal_one_row_solves(coeffs, roots, res, converged, order)
+
+
+def test_mixed_scale_batches():
+    rng = np.random.default_rng(23)
+
+    def unit_rows(deg):
+        return rng.normal(size=(4, deg + 1)) + 1j * rng.normal(size=(4, deg + 1))
+
+    wilkinson10 = np.poly(np.arange(1, 11) / 10.0)[::-1]
+    # t^2 + 1e200 and t^10 + 1e35: the iterates overflow and lock on an
+    # infinite residual.  t^10 + 1e200: the iterates become NaN.
+    huge2 = [1e200, 0, 1]
+    huge10 = [[1e35] + [0] * 9 + [1], [1e200] + [0] * 9 + [1]]
+    for coeffs, n_huge in (
+        (np.vstack([unit_rows(2), [huge2], unit_rows(2)]), 1),
+        (np.vstack([unit_rows(10), [wilkinson10], huge10, unit_rows(10)]), 2),
+    ):
+        coeffs = coeffs.astype(np.complex128)
+        with np.errstate(all="ignore"):
+            roots, res, converged = solve_batch(coeffs)
+        huge = np.abs(coeffs).max(axis=1) > 1e30
+        assert huge.sum() == n_huge
+        assert not converged[huge].any()
+        assert converged[~huge].all()
+        rows = np.nonzero(~huge)[0]
+        assert_rows_equal_one_row_solves(coeffs, roots[rows], res[rows], converged[rows], rows)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])

@@ -152,6 +152,17 @@ def test_lemma_shifted_hyperbola():
     )
 
 
+def test_lemma_sup_beyond_squared_overflow():
+    # sup |g - f| = 1e160 squares past the float64 range; the report must
+    # carry the finite supremum, and the deformation is within its bound.
+    t1 = sp(1, {(1,): 1.0})
+    g = sp(1, {(1,): 1.0, (0,): 1e160})
+    rep = lemma_check(t1, g, T=1, eps=1e300)
+    assert rep.coeff_distance == 1e160 and rep.coeff_distance < rep.delta_limit
+    assert rep.sup_deviation == 1e160
+    assert rep.passed
+
+
 def test_lemma_identical_pair():
     rep = lemma_check(HYPERBOLA, HYPERBOLA, T=1, eps=0.1, grid=9)
     assert rep.sup_deviation == 0.0 and rep.passed
