@@ -91,12 +91,13 @@ def test_grid_sup_survives_overflowing_squares(monkeypatch):
             b, bflat = brute_sup(exps, coeffs, axes)
             assert s == pytest.approx(b, rel=1e-11)
             assert flat == bflat
-    # Values from 1e139 to 1e160 along one axis: early chunks stay finite.
+    # Values from 1e135 to 1e156 along one axis: the first chunk of 16 stays
+    # below the overflow, the later ones pass it.
     axis = np.linspace(0.001, 1.0, 50).astype(np.complex128)
     exps = np.array([[7]], dtype=np.int64)
-    coeffs = np.array([1e160 + 0j])
+    coeffs = np.array([1e156 + 0j])
     s, flat = _kernels.grid_sup_abs(exps, coeffs, [axis])
-    assert (s, flat) == (1e160, 49)
+    assert (s, flat) == (1e156, 49)
 
 
 def test_grid_evaluator_matches_pointwise_evaluation():
