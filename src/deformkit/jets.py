@@ -16,11 +16,13 @@ leading term sits at power ``l`` shifts ``min_exp`` down by ``l``, which is
 how infinite values such as ``1/eps`` arise.
 
 ``hensel_lift_root`` realizes infinitesimal root alignment constructively:
-above each simple root of the standard-part polynomial it builds, order by
-order, a jet root of the deformed polynomial whose standard part is the
-original root.  Repeated roots would need fractional powers of ``eps``
-(the roots of ``t**2 - eps`` are ``±eps**0.5``), which this representation
-cannot express, so they are reported as skipped rather than guessed.
+above the simple roots of the standard-part polynomial it builds, order by
+order and for all roots at once, jet roots of the deformed polynomial whose
+standard parts are the original roots, and certifies each coefficient by the
+root solver's noise-floor rule.  Repeated roots would need fractional powers
+of ``eps`` (the roots of ``t**2 - eps`` are ``±eps**0.5``), which this
+representation cannot express, so they are reported as skipped rather than
+guessed.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .polynomials import SparsePoly, _check_index, coeff_sup_distance
 from .roots import UniPoly, cluster_multiplicities, find_roots
 
@@ -515,64 +518,125 @@ def st_poly(g: JetPoly) -> SparsePoly:
 
 ST_MATCH_TOL = 1e-12
 SIMPLE_ROOT_MIN_DERIV = 1e-6
-LIFT_RESIDUAL_TOL = 1e-9
 # Roots of f closer than this are one multiple root in ``jet_align_roots``.
 CLUSTER_RADIUS = 1e-6
+# The "is zero" rule of the root solver's residual lock (Higham 2002, §5.1):
+# a value passes when it is at most this multiple of its rounding scale.
+_ZERO_TOL = _kernels._RES_FACTOR * _kernels._EPS
 
 
-def _check_st_match(f: UniPoly, g: JetPoly) -> None:
-    if g.nvars != 1:
-        raise ValueError("lifting needs a univariate jet polynomial")
-    if coeff_sup_distance(st_poly(g), f.to_sparse()) > ST_MATCH_TOL:
+def _check_st_match(f: SparsePoly, g: JetPoly) -> None:
+    """Raise ``ValueError`` unless the standard part of ``g`` is ``f``."""
+    if g.nvars != f.nvars:
+        raise ValueError(
+            f"jet polynomial has {g.nvars} variables, its base polynomial {f.nvars}"
+        )
+    if coeff_sup_distance(st_poly(g), f) > ST_MATCH_TOL:
         raise ValueError(
             "standard part of the jet polynomial does not match the base polynomial"
         )
 
 
-def hensel_lift_root(
-    f: UniPoly, zeta: complex, g: JetPoly, order: int | None = None
-) -> Jet:
-    """Jet root of ``g`` above the simple root ``zeta`` of ``f``.
+def _series_horner(G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows of ``g(W)`` truncated at the width n of ``W``.
 
-    Produces ``w = zeta + c_1 eps + ... + c_K eps**K`` with ``g(w)`` vanishing
-    through ``eps**K``: each ``c_k`` is solved linearly from the order-k
-    residual using ``f'(zeta)`` as the unit.  The standard part of the result
-    is exactly ``zeta``.
+    Row i of ``G`` holds the series coefficient of ``t**i`` (at least n
+    columns); ``W`` is (R, n), one series per row.  Each truncated product
+    is a sum of shifted elementwise products, so a row's values do not
+    depend on the other rows.
+    """
+    n = W.shape[1]
+    r = np.repeat(G[-1:, :n], W.shape[0], axis=0)
+    for Gi in G[-2::-1]:
+        prod = r * W[:, :1]
+        for j in range(1, n):
+            prod[:, j:] += r[:, :-j] * W[:, j : j + 1]
+        r = prod + Gi[:n]
+    return r
+
+
+def hensel_lift_root(
+    f: UniPoly, zeta, g: JetPoly, order: int | None = None
+) -> Jet | tuple[Jet, ...]:
+    """Jet roots of ``g`` above simple roots ``zeta`` of ``f``.
+
+    ``zeta`` is one root (returns a ``Jet``) or a 1-D array of roots
+    (returns a tuple of ``Jet``, in the same order).  Each lift is
+    ``w = zeta + c_1 eps + ... + c_K eps**K`` with ``c_k = -[g(w)]_k /
+    f'(zeta)``, where ``[g(w)]_k`` is coefficient k of one power-series
+    Horner over all roots at once, taken while ``w`` stops at order k - 1.
+    The standard part of each lift is exactly its ``zeta``.
+
+    Both certificates use the root solver's noise-floor rule, with
+    ``c = _RES_FACTOR`` and u the unit roundoff.  The root test is
+    ``|f(zeta)| <= c u (sum_i |a_i| |zeta|**i + (1 + |zeta|) |f'(zeta)|)``:
+    to first order, ``zeta`` moved by ``c u (1 + |zeta|)`` is a root of
+    ``f`` with its coefficients moved by ``c u`` relatively (the second
+    term admits a computed root of 1e-65 where the root is exactly 0).  For
+    k = 1..K the residual coefficient must satisfy ``|[g(w)]_k| <= c u
+    [sum_i |G_i| |w|**i]_k``, where ``|G_i|`` and ``|w|`` take moduli
+    coefficientwise.
 
     Raises
     ------
+    ValueError
+        If the standard part of ``g`` is not ``f``, or some ``zeta`` is not
+        a root of ``f``.
     MultipleRootError
-        If ``|f'(zeta)|`` is below the simple-root threshold.
+        If some ``|f'(zeta)|`` is below the simple-root threshold.
+    ArithmeticError
+        If a lift residual is not finite or exceeds its rounding bound.
     """
-    _check_st_match(f, g)
     K = g.order if order is None else _check_order(order)
     g = g.truncate(min(K, g.order))
     K = g.order
-    zeta = complex(zeta)
-    if abs(f(zeta)) > 1e-8 * max(1.0, float(np.max(np.abs(f.coeffs)))):
-        raise ValueError(f"{zeta} is not a root of the base polynomial")
-    deriv = f.deriv_at(zeta)
-    if abs(deriv) < SIMPLE_ROOT_MIN_DERIV:
-        raise MultipleRootError(
-            f"|f'({zeta})| = {abs(deriv):.3e} is below {SIMPLE_ROOT_MIN_DERIV}; "
-            "root is (numerically) multiple and cannot be lifted by integer-power jets"
-        )
-    omega = Jet.constant(zeta, K)
-    for k in range(1, K + 1):
-        residual = g.evaluate([omega])
-        rk = residual.coeff(k)
-        if rk == 0:
-            continue
-        correction = np.zeros(K - k + 1, dtype=np.complex128)
-        correction[0] = -rk / deriv
-        omega = omega + Jet(k, correction, K)
-    final = g.evaluate([omega])
-    worst = max((abs(final.coeff(j)) for j in range(final.min_exp, K + 1)), default=0.0)
-    if worst > LIFT_RESIDUAL_TOL:
+    _check_st_match(f.to_sparse(), g)
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    if zeta.ndim > 1:
+        raise ValueError("zeta must be one root or a 1-D array of roots")
+    z = zeta.reshape(1, -1)
+    terms = g.terms
+    G = np.zeros((max((i for (i,) in terms), default=0) + 1, K + 1), dtype=np.complex128)
+    for (i,), jet in terms.items():
+        G[i] = jet._window(0, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fz, dp = _kernels.horner(f.coeffs[None, :], z)
+        noise, _ = _kernels.horner(np.abs(f.coeffs)[None, :], np.abs(z))
+        fz, dp, z = np.abs(fz[0]), dp[0], z[0]
+        root_bound = _ZERO_TOL * (noise[0] + (1.0 + np.abs(z)) * np.abs(dp))
+        bad = np.flatnonzero(~(fz <= root_bound))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"{complex(z[i])} is not a root of the base polynomial: |f| = "
+                f"{fz[i]:.3e} exceeds its rounding bound {root_bound[i]:.3e}"
+            )
+        bad = np.flatnonzero(np.abs(dp) < SIMPLE_ROOT_MIN_DERIV)
+        if bad.size:
+            i = bad[0]
+            raise MultipleRootError(
+                f"|f'({complex(z[i])})| = {abs(dp[i]):.3e} is below "
+                f"{SIMPLE_ROOT_MIN_DERIV}; root is (numerically) multiple and "
+                "cannot be lifted by integer-power jets"
+            )
+        W = np.zeros((z.size, K + 1), dtype=np.complex128)
+        W[:, 0] = z
+        for k in range(1, K + 1):
+            W[:, k] -= _series_horner(G, W[:, : k + 1])[:, k] / dp
+        res = np.abs(_series_horner(G, W)[:, 1:])
+        bound = _ZERO_TOL * _series_horner(np.abs(G), np.abs(W))[:, 1:]
+    ok = (res <= bound) & np.isfinite(bound) & np.isfinite(W[:, 1:])
+    if not ok.all():
+        i, k = np.argwhere(~ok)[0]
+        where = f"at order {k + 1} above the root {complex(z[i])}"
+        if not np.isfinite(bound[i, k]):
+            raise ArithmeticError(f"lift residual {where} is not finite")
         raise ArithmeticError(
-            f"lift residual {worst:.3e} exceeds {LIFT_RESIDUAL_TOL}"
+            f"lift residual {res[i, k]:.3e} {where} exceeds its rounding bound "
+            f"{bound[i, k]:.3e}"
         )
-    return omega
+    lifts = tuple(Jet(0, w, K) for w in W)
+    return lifts if zeta.ndim else lifts[0]
 
 
 @dataclass(frozen=True)
@@ -598,20 +662,24 @@ class JetAlignment:
 def jet_align_roots(f: UniPoly, g: JetPoly, order: int | None = None) -> JetAlignment:
     """Pair every simple root of ``f`` with its lifted jet root of ``g``.
 
-    Roots of multiplicity above one are reported in ``skipped`` with their
+    Roots of multiplicity above one, and roots where ``|f'|`` is below the
+    simple-root threshold, are reported in ``skipped`` with their
     multiplicities: their deformation exponents are fractional, which the
-    integer-power jet model deliberately does not represent.
+    integer-power jet model deliberately does not represent.  The rest are
+    lifted by one ``hensel_lift_root`` call.
     """
-    _check_st_match(f, g)
-    clustered = cluster_multiplicities(find_roots(f), CLUSTER_RADIUS)
-    pairs: list[tuple[complex, Jet]] = []
-    skipped: list[tuple[complex, int, str]] = []
-    for value, mult in clustered.roots:
-        if mult > 1:
-            skipped.append((value, mult, "multiple root"))
-            continue
-        try:
-            pairs.append((value, hensel_lift_root(f, value, g, order)))
-        except MultipleRootError:
-            skipped.append((value, mult, "derivative below simple-root threshold"))
-    return JetAlignment(pairs=tuple(pairs), skipped=tuple(skipped))
+    _check_st_match(f.to_sparse(), g)
+    roots = cluster_multiplicities(find_roots(f), CLUSTER_RADIUS).roots
+    values = np.array([v for v, _ in roots], dtype=np.complex128)
+    _, dp = _kernels.horner(f.coeffs[None, :], values[None, :])
+    simple = (np.array([m for _, m in roots]) == 1) & (
+        np.abs(dp[0]) >= SIMPLE_ROOT_MIN_DERIV
+    )
+    skipped = tuple(
+        (v, m, "multiple root" if m > 1 else "derivative below simple-root threshold")
+        for (v, m), s in zip(roots, simple)
+        if not s
+    )
+    lifts = hensel_lift_root(f, values[simple], g, order)
+    pairs = tuple(zip((v for (v, _), s in zip(roots, simple) if s), lifts))
+    return JetAlignment(pairs=pairs, skipped=skipped)

@@ -185,8 +185,11 @@ def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     z0 = _initial_points_batch(coeffs)
-    roots, _, converged = _kernels.aberth_batch(coeffs, z0, tol, MAX_SWEEPS)
-    roots, res = _polish_batch(coeffs, roots)
+    # Horner overflows on rows with a huge coefficient; those rows come out
+    # non-finite and are reported unconverged, so the warnings carry nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots, _, converged = _kernels.aberth_batch(coeffs, z0, tol, MAX_SWEEPS)
+        roots, res = _polish_batch(coeffs, roots)
     converged &= np.isfinite(roots).all(axis=1) & np.isfinite(res).all(axis=1)
     return roots, res, converged
 
@@ -202,11 +205,12 @@ def _certify_row(
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     residual_bound = float(np.max(res)) / scale
     if not converged:
-        why = f"did not converge within {MAX_SWEEPS} sweeps"
-        if not math.isfinite(residual_bound):
-            why = "has a residual bound that is not finite"
+        why = "has a residual bound that is not finite"
+        if math.isfinite(residual_bound):
+            why = f"did not converge within {MAX_SWEEPS} sweeps"
+            why += f" (residual {residual_bound:.3e})"
         raise RootConvergenceError(
-            f"root iteration {why} (residual {residual_bound:.3e})",
+            f"root iteration {why}",
             best_roots=[complex(z) for z in roots],
             residual=residual_bound,
         )

@@ -31,15 +31,14 @@ from .jets import (
     Jet,
     JetPoly,
     ST_MATCH_TOL,
+    _check_st_match,
     jet_align_roots,
-    st_poly,
     standard_part,
 )
 from .polynomials import (
     PolySystem,
     SparsePoly,
     _require_positive,
-    coeff_sup_distance,
     degree_and_support,
 )
 from .roots import UniPoly, solve_batch
@@ -573,12 +572,7 @@ def variety_jet_check(
     if len(G) != len(F):
         raise ValueError(f"system sizes differ: {len(F)} vs {len(G)}")
     for f, g in zip(F, G):
-        if g.nvars != F.nvars:
-            raise ValueError("jet polynomial dimension mismatch")
-        if coeff_sup_distance(st_poly(g), f) > ST_MATCH_TOL:
-            raise ValueError(
-                "standard part of a jet polynomial does not match its base polynomial"
-            )
+        _check_st_match(f, g)
     if samples.n != F.nvars:
         raise ValueError("sample cloud dimension mismatch")
     K = min(g.order for g in G) if order is None else order

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,36 @@ def test_infinite_root_residual_is_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "residual bound that is not finite" in captured.err
+
+
+def test_overflowing_root_row_writes_one_json_error_line(tmp_path, capsys):
+    # Horner overflows on t^10 + 1e40; the refusal is the only stderr line.
+    poly = tmp_path / "huge.json"
+    poly.write_text(json.dumps(UniPoly([1e40] + [0] * 9 + [1]).to_json_dict()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["roots", "--poly", str(poly), "--json-errors"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    message = json.loads(err)["error"]["message"]
+    assert message == "root iteration has a residual bound that is not finite"
+
+
+def test_non_finite_lift_is_exit_two(tmp_path, capsys):
+    # g = 1e-5 t + e (1 + 1e300 t^2): the order-3 lift coefficient overflows.
+    e = Jet.eps(4)
+    g = JetPoly(1, {(1,): Jet.constant(1e-5, 4), (0,): e, (2,): 1e300 * e}, 4)
+    fp, gp, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "lift.json"
+    fp.write_text(json.dumps(UniPoly([0, 1e-5]).to_json_dict()))
+    gp.write_text(json.dumps(g.to_json_dict()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["jet-lift", "--f", str(fp), "--g", str(gp), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lift residual" in err and "not finite" in err
 
 
 def test_counterexample_report_cli(files, tmp_path):

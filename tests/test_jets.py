@@ -15,6 +15,7 @@ from deformkit import (
     approx,
     approx_poly,
     coeff_sup_distance,
+    find_roots,
     hensel_lift_root,
     jet_align_roots,
     jet_arith,
@@ -306,9 +307,12 @@ def test_lift_rejects_standard_part_mismatch():
 
 
 def test_lift_rejects_non_roots():
+    # 1 + 1e-12 gives |f| = 2e-12, 15 times the rounding bound
+    # 100 u (1 + 1 + (1 + 1) 2).
     f = UniPoly([-1, 0, 1])
-    with pytest.raises(ValueError):
-        hensel_lift_root(f, 0.5, shifted_square())
+    for zeta in (0.5, 1.0 + 1e-6, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match="is not a root of the base polynomial"):
+            hensel_lift_root(f, zeta, shifted_square())
 
 
 def test_lift_truncation_consistency():
@@ -321,6 +325,80 @@ def test_lift_truncation_consistency():
 def test_standard_part_of_lift_is_the_root():
     w = hensel_lift_root(UniPoly([-1, 0, 1]), -1.0, shifted_square())
     assert standard_part(w) == -1.0
+
+
+def tail_jet(f: UniPoly, order: int, seed: int = 0) -> JetPoly:
+    """f + e * h with a seeded first-order tail h of size 0.1."""
+    rng = np.random.default_rng(seed)
+    terms = {}
+    for k, a in enumerate(f.coeffs):
+        coeffs = np.zeros(order + 1, dtype=np.complex128)
+        coeffs[0] = a
+        coeffs[1] = 0.1 * complex(*rng.normal(size=2))
+        terms[(k,)] = Jet(0, coeffs, order)
+    return JetPoly(1, terms, order)
+
+
+def test_lift_accepts_a_root_whose_residual_is_rounding_noise():
+    # 15 roots on the unit circle and one at -4.3: |f| at the computed far
+    # root is 7e-7, rounding noise of sum |a_k| |zeta|^k ~ 1e10, though
+    # above 1e-8 max|a_k|.
+    theta = 2 * np.pi * (np.arange(15) + 0.1) / 15
+    f = UniPoly(np.poly(np.append(np.exp(1j * theta), -4.3))[::-1])
+    far = min((z for z, _ in find_roots(f).roots), key=lambda z: z.real)
+    assert abs(f(far)) > 1e-8 * max(1.0, np.abs(f.coeffs).max())
+    w = hensel_lift_root(f, far, tail_jet(f, 8))
+    assert standard_part(w) == far and w.coeff(1) != 0
+
+
+def test_lift_accepts_a_tiny_root_where_the_root_is_zero():
+    # The solver returns 3.8e-65 for the root 0 of 1e-5 t: |f| is all of
+    # sum |a_k| |zeta|^k, yet zeta is 3.8e-65 from the root.
+    f = UniPoly([0, 1e-5])
+    (zeta, _), = find_roots(f).roots
+    assert 0 < abs(zeta) < 1e-60
+    e = Jet.eps()
+    w = hensel_lift_root(f, zeta, JetPoly(1, {(1,): Jet.constant(1e-5), (0,): e}))
+    assert w.coeff(0) == zeta and abs(w.coeff(1) + 1e5) < 1e-9
+
+
+def test_lift_accepts_huge_coefficients_at_their_rounding_scale():
+    # Roots k/10 of Wilkinson's polynomial: the order-8 lift coefficients
+    # reach 1e41, so its residual is far above any absolute tolerance.
+    f = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])
+    alignment = jet_align_roots(f, tail_jet(f, 8))
+    assert len(alignment.pairs) == 10 and not alignment.skipped
+    assert max(np.abs(w.coeffs).max() for _, w in alignment.pairs) > 1e40
+
+
+def test_lift_of_an_array_returns_a_tuple_in_order():
+    lifts = hensel_lift_root(UniPoly([-1, 0, 1]), np.array([1.0, -1.0]), shifted_square())
+    assert isinstance(lifts, tuple) and len(lifts) == 2
+    assert lifts == (
+        hensel_lift_root(UniPoly([-1, 0, 1]), 1.0, shifted_square()),
+        hensel_lift_root(UniPoly([-1, 0, 1]), -1.0, shifted_square()),
+    )
+    assert hensel_lift_root(UniPoly([-1, 0, 1]), np.array([]), shifted_square()) == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    degree=st.integers(1, 32),
+    order=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_lifts_are_bit_identical_to_one_root_lifts(degree, order, seed):
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * (np.arange(degree) + rng.uniform(-0.2, 0.2, degree)) / degree
+    roots = rng.uniform(0.9, 1.1, degree) * np.exp(1j * theta)
+    f = UniPoly(np.poly(roots)[::-1])
+    g = tail_jet(f, order, seed=int(rng.integers(2**31)))
+    zetas = np.array([z for z, _ in find_roots(f).roots])[rng.permutation(degree)]
+    batch = hensel_lift_root(f, zetas, g)
+    for i in rng.choice(degree, size=min(degree, 2), replace=False):
+        one = hensel_lift_root(f, zetas[i], g)
+        assert one.min_exp == batch[i].min_exp
+        assert one.coeffs.tobytes() == batch[i].coeffs.tobytes()
 
 
 # -- alignment of whole root sets ----------------------------------------------------
@@ -365,6 +443,43 @@ def test_align_skips_multiple_roots():
     assert len(alignment.skipped) == 1
     zskip, mult, _ = alignment.skipped[0]
     assert abs(zskip - 1) < 1e-6 and mult == 2
+
+
+def test_align_keeps_derivative_skips_of_a_cluster():
+    # Four roots within 1e-3 of 0.5 keep |f'| below 1e-6 without merging.
+    cluster = 0.5 + 1e-3 * np.exp(2j * np.pi * (np.arange(4) / 4 + 0.1))
+    others = 1.5 * np.exp(2j * np.pi * np.arange(5) / 5)
+    f = UniPoly(np.poly(np.append(others, cluster))[::-1])
+    alignment = jet_align_roots(f, tail_jet(f, 8))
+    assert len(alignment.pairs) == 5
+    assert sorted(m for _, m, _ in alignment.skipped) == [1, 1, 1, 1]
+    assert {why for _, _, why in alignment.skipped} == {
+        "derivative below simple-root threshold"
+    }
+    for z, _, _ in alignment.skipped:
+        assert min(abs(z - cluster)) < 1e-6
+
+
+def test_align_makes_one_lift_call(monkeypatch):
+    # The benchmark tracer wraps ``deformkit.jets.hensel_lift_root`` and the
+    # CLI's binding of it, and requires calls through them.
+    import deformkit.cli as cli_mod
+    import deformkit.jets as jets_mod
+
+    assert cli_mod.hensel_lift_root is jets_mod.hensel_lift_root
+    calls = []
+    lift = jets_mod.hensel_lift_root
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(jets_mod, "hensel_lift_root", counted)
+    assert len(jet_align_roots(UniPoly([-1, 0, 1]), shifted_square()).pairs) == 2
+    assert len(calls) == 1 and len(calls[0]) == 2
+    double = UniPoly([1, -2, 1])
+    assert not jet_align_roots(double, JetPoly.from_sparse(double.to_sparse())).pairs
+    assert len(calls) == 2 and len(calls[1]) == 0
 
 
 def test_alignment_serialization():
