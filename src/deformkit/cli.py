@@ -11,6 +11,7 @@ variable and then by ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -224,9 +225,7 @@ def cmd_variety(args) -> dict:
         )
     if args.g:
         jets = [_load_jetpoly(p) for p in args.g]
-        report = variety_jet_check(
-            system, jets, cloud, order=args.order, tol=args.tol, seed=args.seed
-        )
+        report = variety_jet_check(system, jets, cloud, order=args.order, tol=args.tol)
         return report.to_json_dict()
     arr = system_residual(system, cloud.points)
     members = int((arr < args.eps).sum()) if args.eps is not None else None
@@ -421,6 +420,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deformkit",

@@ -538,21 +538,36 @@ def _check_st_match(f: SparsePoly, g: JetPoly) -> None:
 
 
 def _series_horner(G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Rows of ``g(W)`` truncated at the width n of ``W``.
+    """Rows of ``g(W)`` truncated at the width n of ``W``, which is (R, n).
 
-    Row i of ``G`` holds the series coefficient of ``t**i`` (at least n
-    columns); ``W`` is (R, n), one series per row.  Each truncated product
-    is a sum of shifted elementwise products, so a row's values do not
-    depend on the other rows.
+    ``G[r, i]`` holds row r's series coefficient of ``t**i``; a ``G`` of one
+    row is shared by all rows.  Each truncated product is a sum of shifted
+    elementwise products, so a row's values do not depend on the other rows.
     """
     n = W.shape[1]
-    r = np.repeat(G[-1:, :n], W.shape[0], axis=0)
-    for Gi in G[-2::-1]:
+    r = np.broadcast_to(G[:, -1, :n], (W.shape[0], n)).copy()
+    for i in range(G.shape[1] - 2, -1, -1):
         prod = r * W[:, :1]
         for j in range(1, n):
             prod[:, j:] += r[:, :-j] * W[:, j : j + 1]
-        r = prod + Gi[:n]
+        r = prod + G[:, i, :n]
     return r
+
+
+def _lift_simple_roots(G: np.ndarray, z: np.ndarray, dp: np.ndarray):
+    """The (R, K+1) lifts above the simple roots ``z`` of the standard rows
+    of ``G``, with derivatives ``dp``, and per order 1..K their residuals,
+    rounding bounds and pass flags (``hensel_lift_root`` has the rule)."""
+    K = G.shape[2] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.zeros((z.size, K + 1), dtype=np.complex128)
+        W[:, 0] = z
+        for k in range(1, K + 1):
+            W[:, k] -= _series_horner(G, W[:, : k + 1])[:, k] / dp
+        res = np.abs(_series_horner(G, W)[:, 1:])
+        bound = _ZERO_TOL * _series_horner(np.abs(G), np.abs(W))[:, 1:]
+    ok = (res <= bound) & np.isfinite(bound) & np.isfinite(W[:, 1:])
+    return W, res, bound, ok
 
 
 def hensel_lift_root(
@@ -596,9 +611,9 @@ def hensel_lift_root(
         raise ValueError("zeta must be one root or a 1-D array of roots")
     z = zeta.reshape(1, -1)
     terms = g.terms
-    G = np.zeros((max((i for (i,) in terms), default=0) + 1, K + 1), dtype=np.complex128)
+    G = np.zeros((1, max((i for (i,) in terms), default=0) + 1, K + 1), dtype=np.complex128)
     for (i,), jet in terms.items():
-        G[i] = jet._window(0, K)
+        G[0, i] = jet._window(0, K)
     with np.errstate(over="ignore", invalid="ignore"):
         fz, dp = _kernels.horner(f.coeffs[None, :], z)
         noise, _ = _kernels.horner(np.abs(f.coeffs)[None, :], np.abs(z))
@@ -619,13 +634,7 @@ def hensel_lift_root(
                 f"{SIMPLE_ROOT_MIN_DERIV}; root is (numerically) multiple and "
                 "cannot be lifted by integer-power jets"
             )
-        W = np.zeros((z.size, K + 1), dtype=np.complex128)
-        W[:, 0] = z
-        for k in range(1, K + 1):
-            W[:, k] -= _series_horner(G, W[:, : k + 1])[:, k] / dp
-        res = np.abs(_series_horner(G, W)[:, 1:])
-        bound = _ZERO_TOL * _series_horner(np.abs(G), np.abs(W))[:, 1:]
-    ok = (res <= bound) & np.isfinite(bound) & np.isfinite(W[:, 1:])
+    W, res, bound, ok = _lift_simple_roots(G, z, dp)
     if not ok.all():
         i, k = np.argwhere(~ok)[0]
         where = f"at order {k + 1} above the root {complex(z[i])}"

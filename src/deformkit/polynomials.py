@@ -159,22 +159,25 @@ class SparsePoly:
 
         An array whose last axis has length ``nvars`` gives an array of
         values over the leading axes; a single point gives a ``complex``.
-        Each term starts from its coefficient and is multiplied by the
-        coordinate powers, and terms are summed in lexicographic exponent
-        order, so the same array of points always gives the same bits.
+        Each term is its coefficient times one coordinate at a time, in
+        float64 real and imaginary parts (NumPy's complex multiply rounds by
+        operand layout), and terms are summed in lexicographic exponent
+        order, so a point gets the same bits alone as inside an array.
         """
         pts = np.asarray(point, dtype=np.complex128)
         dim = pts.shape[-1] if pts.ndim else 0
         if dim != self._nvars:
             raise ValueError(f"point has dimension {dim}, polynomial has {self._nvars}")
         rows = pts.reshape(-1, dim)
+        coords = [(x.real.copy(), x.imag.copy()) for x in rows.T]
         vals = np.zeros(rows.shape[0], dtype=np.complex128)
         for idx, coeff in self.sorted_terms():
-            mono = np.full(rows.shape[0], coeff, dtype=np.complex128)
-            for j, e in enumerate(idx):
-                if e:
-                    mono *= rows[:, j] ** e
-            vals += mono
+            re, im = coeff.real, coeff.imag
+            for (xr, xi), e in zip(coords, idx):
+                for _ in range(e):
+                    re, im = re * xr - im * xi, re * xi + im * xr
+            vals.real += re
+            vals.imag += im
         if pts.ndim == 1:
             return complex(vals[0])
         return vals.reshape(pts.shape[:-1])

@@ -27,13 +27,14 @@ import numpy as np
 
 from . import _kernels
 from .jets import (
-    INFINITE,
+    SIMPLE_ROOT_MIN_DERIV,
+    ST_MATCH_TOL,
     Jet,
     JetPoly,
-    ST_MATCH_TOL,
+    _check_order,
     _check_st_match,
-    jet_align_roots,
-    standard_part,
+    _lift_simple_roots,
+    st_poly,
 )
 from .polynomials import (
     PolySystem,
@@ -41,7 +42,7 @@ from .polynomials import (
     _require_positive,
     degree_and_support,
 )
-from .roots import UniPoly, solve_batch
+from .roots import solve_batch
 
 __all__ = [
     "Hypercube",
@@ -67,6 +68,7 @@ __all__ = [
 # A fiber's leading coefficient below this is treated as a degree drop and
 # the fiber is skipped (and counted), never interpolated.
 DEGENERATE_LEAD_TOL = 1e-12
+_LIFT_BLOCK = 4096  # witnesses lifted at once: bounds the (rows, d+1, K+1) arrays
 
 
 @dataclass(frozen=True)
@@ -522,14 +524,10 @@ class VarietyJetReport:
     backward_checked: int
     backward_failures: int
     threshold: float
-    univariate_crosscheck: dict | None = None
 
     @property
     def passed(self) -> bool:
-        ok = self.forward_failures == 0 and self.backward_failures == 0
-        if self.univariate_crosscheck is not None:
-            ok = ok and self.univariate_crosscheck.get("failures", 0) == 0
-        return ok
+        return self.forward_failures == 0 and self.backward_failures == 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -540,9 +538,40 @@ class VarietyJetReport:
             "backward_checked": self.backward_checked,
             "backward_failures": self.backward_failures,
             "threshold": self.threshold,
-            "univariate_crosscheck": self.univariate_crosscheck,
             "passed": self.passed,
         }
+
+
+def _fibers(terms, j: int, z: np.ndarray) -> np.ndarray:
+    """(R, d+1, L) coefficients in ``t_j`` at the R points ``z`` of the terms
+    ``(exponents, coefficient row of length L)``: slot k sums, in term order,
+    the rows of exponent k in ``t_j`` times their monomials in the other
+    coordinates, and a row without other coordinates enters unchanged."""
+    out = np.zeros((len(z), max(i[j] for i, _ in terms) + 1, len(terms[0][1])), complex)
+    filled = set()
+    for idx, c in terms:
+        rest = idx[:j] + (0,) + idx[j + 1 :]
+        if any(rest):
+            c = SparsePoly(len(idx), {rest: 1.0}).evaluate(z)[:, None] * c
+        k = idx[j]
+        out[:, k] = out[:, k] + c if k in filled else c
+        filled.add(k)
+    return out
+
+
+def _fiber_lifts(f: SparsePoly, g: JetPoly, z: np.ndarray, K: int):
+    """Points of *V(g) through ``eps**K`` above the points ``z`` of V(f): the
+    root of f on each point's fiber along ``default_axis(f)``, where the
+    fiber keeps its degree and the root is simple, lifted to a root of g.
+    Returns the lifted mask, the (lifted, K+1) lifts and their certificate flags.
+    """
+    j = default_axis(f) - 1
+    C = _fibers([(idx, np.array([c])) for idx, c in f.sorted_terms()], j, z)[:, :, 0]
+    dp = _kernels.horner(C, z[:, j : j + 1])[1][:, 0]
+    lifted = (abs(C[:, -1]) >= DEGENERATE_LEAD_TOL) & (abs(dp) >= SIMPLE_ROOT_MIN_DERIV)
+    G = _fibers([(i, jet._window(0, K)) for i, jet in g.sorted_terms()], j, z[lifted])
+    W, _, _, ok = _lift_simple_roots(G, z[lifted, j], dp[lifted])
+    return lifted, W, ok.all(axis=1)
 
 
 def variety_jet_check(
@@ -551,21 +580,15 @@ def variety_jet_check(
     samples: SampleCloud,
     order: int | None = None,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> VarietyJetReport:
-    """Witness-level verification that infinitesimally deformed polynomials
-    vanish infinitesimally exactly above the standard zero set.
+    """Check on sampled witnesses that V(F) is the standard part of *V(G).
 
-    Forward: every sampled point with system residual within ``tol``, viewed
-    as a constant jet point, keeps all jet-polynomial values infinitesimal.
-    Backward: perturbing those points by random infinitesimals leaves the
-    standard parts inside the residual-``tol`` zero set, and the perturbed
-    values stay infinitesimal.  For a univariate single-polynomial system
-    the lifted jet roots provide an independent crosscheck.
-
-    The full statements quantify over all finite jet points, which no finite
-    computation can enumerate; constructed witnesses and random samples are
-    the honest finite surrogate.
+    Witnesses are the samples with system residual within ``tol``.  Forward:
+    every ``st(g)`` is within ``threshold`` of 0 at every witness.  Backward,
+    for a single polynomial: every witness with a non-degenerate fiber and a
+    simple fiber root is lifted to a point of *V(g) (``_fiber_lifts``), and a
+    lift that fails its certificate is a failure.  Systems of two or more
+    polynomials have no fiber lift and report ``backward_checked = 0``.
     """
     F = PolySystem([system]) if isinstance(system, SparsePoly) else system
     G = [jet_system] if isinstance(jet_system, JetPoly) else list(jet_system)
@@ -575,69 +598,31 @@ def variety_jet_check(
         _check_st_match(f, g)
     if samples.n != F.nvars:
         raise ValueError("sample cloud dimension mismatch")
-    K = min(g.order for g in G) if order is None else order
+    K = min(_check_order(G[0].order if order is None else order), G[0].order)
 
-    # Slack for float rounding between evaluating standard parts directly
-    # and extracting them from jet evaluations.
-    norms = samples.points
-    max_norm = float(np.abs(norms).max()) if len(samples) else 0.0
-    slack = 0.0
-    for f in F:
-        dd = max(f.total_degree(), 0)
-        slack = max(slack, ST_MATCH_TOL * f.support_size() * max(1.0, max_norm) ** dd)
+    # Slack for float rounding between evaluating f and the standard part of g.
+    scale = max(1.0, float(np.abs(samples.points).max(initial=0.0)))
+    slack = max(ST_MATCH_TOL * f.support_size() * scale ** max(f.total_degree(), 0) for f in F)
     threshold = tol + 10.0 * slack
 
-    witnesses = samples.points[system_residual(F, samples.points) <= tol].tolist()
+    witnesses = samples.points[system_residual(F, samples.points) <= tol]
 
-    forward_failures = 0
-    for z in witnesses:
-        w = [Jet.constant(c, K) for c in z]
-        for g in G:
-            sp = standard_part(g.evaluate(w))
-            if sp is INFINITE or abs(sp) > threshold:
-                forward_failures += 1
-                break
+    bad = [~(np.abs(st_poly(g).evaluate(witnesses)) <= threshold) for g in G]
 
-    backward_failures = 0
-    for i, z in enumerate(witnesses):
-        rng = np.random.default_rng([seed, i])
-        w = []
-        for c in z:
-            tail = 0.1 * np.sqrt(rng.random(K)) * np.exp(2j * np.pi * rng.random(K))
-            coeffs = np.concatenate(([c], tail))
-            w.append(Jet(0, coeffs, K))
-        st_point = [standard_part(wj) for wj in w]
-        ok = system_residual(F, st_point) <= tol
-        if ok:
-            for g in G:
-                sp = standard_part(g.evaluate(w))
-                if sp is INFINITE or abs(sp) > threshold:
-                    ok = False
-                    break
-        if not ok:
-            backward_failures += 1
-
-    crosscheck = None
-    if len(F) == 1 and F.nvars == 1 and F.polys[0].total_degree() >= 1:
-        alignment = jet_align_roots(UniPoly.from_sparse(F.polys[0]), G[0], K)
-        fails = sum(
-            1
-            for z, w in alignment.pairs
-            if abs(standard_part(w) - z) > 1e-12
-        )
-        crosscheck = {
-            "lifted": len(alignment.pairs),
-            "skipped": len(alignment.skipped),
-            "failures": fails,
-        }
+    backward_checked = backward_failures = 0
+    f = F.polys[0]
+    if len(F) == 1 and f.total_degree() >= 1:
+        for s in range(0, len(witnesses), _LIFT_BLOCK):
+            lifted, _, ok = _fiber_lifts(f, G[0], witnesses[s : s + _LIFT_BLOCK], K)
+            backward_checked += int(lifted.sum())
+            backward_failures += int((~ok).sum())
 
     return VarietyJetReport(
         samples_total=len(samples),
         witnesses=len(witnesses),
         forward_checked=len(witnesses),
-        forward_failures=forward_failures,
-        backward_checked=len(witnesses),
+        forward_failures=int(np.any(bad, axis=0).sum()),
+        backward_checked=backward_checked,
         backward_failures=backward_failures,
         threshold=threshold,
-        univariate_crosscheck=crosscheck,
     )

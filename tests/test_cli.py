@@ -233,6 +233,27 @@ def test_variety_jet_mode(files, tmp_path):
     assert rep["result"]["passed"] is True
 
 
+def test_variety_jet_mode_is_deterministic_and_seed_free(files, tmp_path):
+    gjet = JetPoly(
+        2,
+        {(1, 0): Jet.constant(1), (0, 1): Jet.constant(-1), (0, 0): Jet.eps(power=2)},
+    )
+    gp = tmp_path / "gjet2.json"
+    gp.write_text(json.dumps(gjet.to_json_dict()))
+    args = ["variety", "--f", files["diag.json"], "--g", str(gp), "--grid", "5",
+            "--no-timestamp"]
+    paths = [str(tmp_path / f"v{i}.json") for i in range(3)]
+    assert main(args + ["--seed", "1", "--out", paths[0]]) == 0
+    assert main(args + ["--seed", "1", "--out", paths[1]]) == 0
+    assert main(args + ["--seed", "2", "--out", paths[2]]) == 0
+    a, b, c = (open(p, "rb").read() for p in paths)
+    assert a == b
+    ra, rc = json.loads(a)["result"], json.loads(c)["result"]
+    assert ra == rc and ra["passed"] is True
+    assert ra["backward_checked"] == ra["witnesses"] > 0
+    assert "univariate_crosscheck" not in ra
+
+
 def test_hausdorff_report(files, tmp_path):
     out = str(tmp_path / "h.json")
     rep = run_json(
@@ -424,6 +445,17 @@ def test_reports_are_byte_identical(files, tmp_path):
             "--seed", "7", "--no-timestamp"]
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_parser_is_built_once_per_process(files, tmp_path):
+    cli_mod.build_parser.cache_clear()
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    args = ["jet-lift", "--f", files["f1.json"], "--g", files["gjet.json"],
+            "--no-timestamp"]
+    assert main(args + ["--out", a]) == 0
+    assert main(args + ["--out", b]) == 0
+    assert cli_mod.build_parser.cache_info().misses == 1
     assert open(a, "rb").read() == open(b, "rb").read()
 
 

@@ -105,6 +105,18 @@ def test_evaluate_matches_scalar_loop_on_points_and_arrays():
             assert abs(vals[m] - want) <= tol
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluate_bits_do_not_depend_on_position(n):
+    # NumPy's complex multiply picks its inner loop by length and layout, so
+    # a point alone and the same point inside a batch can round differently.
+    rng = np.random.default_rng(100 + n)
+    p = rand_poly(rng, n, max_deg=4, max_terms=8)
+    pts = rng.normal(size=(1000, n)) + 1j * rng.normal(size=(1000, n))
+    batch = p.evaluate(pts)
+    for m in range(pts.shape[0]):
+        assert batch[m].tobytes() == np.complex128(p.evaluate(pts[m])).tobytes()
+
+
 def test_evaluate_keeps_leading_axes():
     p = sp(2, {(2, 1): 1.5 - 0.5j, (0, 0): -1.0, (1, 0): 0.25j})
     rng = np.random.default_rng(3)

@@ -25,7 +25,9 @@ from deformkit import (
     v_eps_member,
     variety_jet_check,
 )
-from deformkit.varieties import eval_at_points
+from deformkit.jets import INFINITE, hensel_lift_root, standard_part
+from deformkit.roots import UniPoly, find_roots
+from deformkit.varieties import _fiber_lifts, eval_at_points
 
 
 def sp(nvars, terms):
@@ -34,6 +36,7 @@ def sp(nvars, terms):
 
 HYPERBOLA = sp(2, {(1, 1): 1.0, (0, 0): -1.0})  # t1*t2 - 1
 DIAGONAL = sp(2, {(1, 0): 1.0, (0, 1): -1.0})  # t1 - t2
+ANTIDIAGONAL = sp(2, {(1, 0): 1.0, (0, 1): 1.0})  # t1 + t2
 
 
 # -- membership ----------------------------------------------------------------
@@ -378,40 +381,178 @@ def test_jet_witnesses_on_diagonal():
         {(1, 0): Jet.constant(1), (0, 1): Jet.constant(-1), (0, 0): e2},
     )
     pts = np.array([[z, z] for z in np.linspace(-1, 1, 9)], dtype=np.complex128)
-    rep = variety_jet_check(DIAGONAL, g, SampleCloud(pts, "diag"), seed=3)
-    assert rep.witnesses == len(pts)
+    rep = variety_jet_check(DIAGONAL, g, SampleCloud(pts, "diag"))
+    assert rep.witnesses == rep.backward_checked == len(pts)
     assert rep.passed
     # Points off the diagonal are not witnesses.
     off = np.array([[0.5, -0.5], [1j, 0.0]], dtype=np.complex128)
-    rep = variety_jet_check(DIAGONAL, g, SampleCloud(np.vstack([off, pts])), seed=3)
-    assert rep.witnesses == rep.forward_checked == len(pts)
+    rep = variety_jet_check(DIAGONAL, g, SampleCloud(np.vstack([off, pts])))
+    assert rep.witnesses == rep.forward_checked == rep.backward_checked == len(pts)
     assert rep.passed
+
+
+def test_fiber_lift_of_shifted_diagonal_is_exact():
+    # t1 - t2 + eps^2 vanishes at (z - eps^2, z): the lift along t1 is exact.
+    g = JetPoly(
+        2,
+        {(1, 0): Jet.constant(1), (0, 1): Jet.constant(-1), (0, 0): Jet.eps(power=2)},
+    )
+    z = np.array([[w, w] for w in (0.5, -0.25 + 1j, 2j)], dtype=np.complex128)
+    lifted, W, ok = _fiber_lifts(DIAGONAL, g, z, 8)
+    assert lifted.all() and ok.all()
+    want = np.zeros((3, 9), dtype=np.complex128)
+    want[:, 0] = z[:, 0]
+    want[:, 2] = -1
+    assert np.array_equal(W, want)
 
 
 def test_jet_witnesses_constant_system():
-    F = PolySystem([DIAGONAL, sp(2, {(1, 0): 1.0, (0, 1): 1.0})])
+    F = PolySystem([DIAGONAL, ANTIDIAGONAL])
     G = [JetPoly.from_sparse(p) for p in F]
     pts = np.zeros((3, 2), dtype=np.complex128)
-    rep = variety_jet_check(F, G, SampleCloud(pts, "origin"), seed=1)
+    rep = variety_jet_check(F, G, SampleCloud(pts, "origin"))
     assert rep.passed
+    # No fiber lift exists for a system of two polynomials.
+    assert rep.witnesses == 3 and rep.backward_checked == 0
+
+
+def tail_jets(f, order, rng, extra=None):
+    """f + eps * h + eps**2 * h2 with seeded random tails of size 0.1, plus an
+    optional purely infinitesimal term at the exponent tuple ``extra``."""
+    terms = {}
+    for idx, c in f.sorted_terms():
+        coeffs = np.zeros(order + 1, dtype=np.complex128)
+        coeffs[0] = c
+        coeffs[1 : min(order, 2) + 1] = 0.1 * (
+            rng.normal(size=min(order, 2)) + 1j * rng.normal(size=min(order, 2))
+        )
+        terms[idx] = Jet(0, coeffs, order)
+    if extra is not None:
+        terms[extra] = Jet.eps(order) * complex(*rng.normal(size=2))
+    return JetPoly(f.nvars, terms, order)
 
 
 def test_jet_witnesses_univariate_crosscheck():
-    f = sp(1, {(2,): 1.0, (0,): -1.0})
+    # For one variable the fiber is f itself: the backward lift of each
+    # witness is the jet-lift of that root, bit for bit.
+    rng = np.random.default_rng(4)
+    roots = rng.uniform(0.5, 1.0, 6) * np.exp(2j * np.pi * (np.arange(6) + 0.3) / 6)
+    f = UniPoly(np.poly(roots)[::-1])
+    zetas = np.array([z for z, _ in find_roots(f).roots])
+    for K in (1, 8, 32):
+        g = tail_jets(f.to_sparse(), K, rng)
+        lifted, W, ok = _fiber_lifts(f.to_sparse(), g, zetas[:, None], K)
+        assert lifted.all() and ok.all()
+        batch = hensel_lift_root(f, zetas, g, K)
+        for i, z in enumerate(zetas):
+            one = hensel_lift_root(f, z, g, K)
+            assert one.min_exp == 0 and one.coeffs.tobytes() == W[i].tobytes()
+            assert batch[i].coeffs.tobytes() == W[i].tobytes()
+        rep = variety_jet_check(f.to_sparse(), g, SampleCloud(zetas[:, None], "roots"))
+        assert rep.passed and rep.backward_checked == rep.witnesses == 6
+
+
+def test_overflowing_lift_is_a_counted_failure():
+    # t1^2 - t2 + 1e200 eps: the eps^2 coefficient of the t1 lift overflows.
+    f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
     g = JetPoly(
-        1, {(2,): Jet.constant(1), (0,): -(Jet.constant(1) + Jet.eps())}
+        2,
+        {(2, 0): Jet.constant(1), (0, 1): Jet.constant(-1), (0, 0): 1e200 * Jet.eps()},
     )
-    pts = np.array([[1.0], [-1.0]], dtype=np.complex128)
-    rep = variety_jet_check(f, g, SampleCloud(pts, "roots"), seed=0)
-    assert rep.passed
-    assert rep.univariate_crosscheck == {"lifted": 2, "skipped": 0, "failures": 0}
+    pts = np.array([[1.0, 1.0], [1j, -1.0]], dtype=np.complex128)
+    rep = variety_jet_check(f, g, SampleCloud(pts))
+    assert rep.forward_failures == 0
+    assert rep.backward_checked == rep.backward_failures == 2
+    assert not rep.passed
+    assert rep.to_json_dict()["passed"] is False
+
+
+def test_multiple_and_degenerate_fibers_are_not_checked():
+    # t1^2 t2 + t1 along t1: at t2 = 0 the fiber drops degree; at (-1, 1)
+    # the fiber root is simple.
+    f = sp(2, {(2, 1): 1.0, (1, 0): 1.0})
+    pts = np.array([[0.0, 0.0], [-1.0, 1.0]], dtype=np.complex128)
+    rep = variety_jet_check(f, tail_jets(f, 8, np.random.default_rng(1)), SampleCloud(pts))
+    assert rep.witnesses == 2 and rep.backward_checked == 1 and rep.passed
+    # t1^2 - t2 at the origin: the fiber t1^2 has a double root.
+    f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [-1j, -1.0]], dtype=np.complex128)
+    lifted, W, ok = _fiber_lifts(f, tail_jets(f, 8, np.random.default_rng(2)), pts, 8)
+    assert lifted.tolist() == [False, True, True] and W.shape == (2, 9) and ok.all()
+
+
+def jet_loop_forward_failures(F, G, points, threshold, tol, K):
+    """The per-witness reference: evaluate each g at constant jets."""
+    fails = 0
+    for z in points[system_residual(F, points) <= tol].tolist():
+        w = [Jet.constant(c, K) for c in z]
+        for g in G:
+            sp_ = standard_part(g.evaluate(w))
+            if sp_ is INFINITE or abs(sp_) > threshold:
+                fails += 1
+                break
+    return fails
+
+
+def random_case(rng):
+    n = int(rng.integers(1, 4))
+    terms = {}
+    for _ in range(int(rng.integers(2, 6))):
+        idx = tuple(int(e) for e in rng.integers(0, 3, n))
+        terms[idx] = complex(*rng.uniform(-1, 1, 2))
+    terms[(1,) + (0,) * (n - 1)] = 1.0
+    return sp(n, terms)
+
+
+def test_forward_failures_match_the_per_witness_jet_loop():
+    rng = np.random.default_rng(13)
+    cases = [
+        (PolySystem([DIAGONAL]), [tail_jets(DIAGONAL, 4, rng)], 1e-8),
+        (
+            PolySystem([DIAGONAL, ANTIDIAGONAL]),
+            [JetPoly.from_sparse(DIAGONAL), tail_jets(ANTIDIAGONAL, 4, rng)],
+            1e-8,
+        ),
+    ]
+    for case in range(30):
+        f = random_case(rng)
+        n = f.nvars
+        g = tail_jets(f, 4, rng, extra=(3,) + (0,) * (n - 1))
+        # A perturbation of the standard part inside the match tolerance.
+        terms = g.terms
+        idx = next(iter(terms))
+        terms[idx] = terms[idx] + Jet.constant(5e-13 * (1 + 1j), 4)
+        cases.append((PolySystem([f]), [JetPoly(n, terms, 4)], 1e-6 if case % 2 else 1e-8))
+    for F, G, tol in cases:
+        f = F.polys[0]
+        cloud = sample_hypersurface(f, 1.0, 1, grid=5 if f.nvars > 1 else 9, tol=tol)
+        jittered = cloud.points + 1e-9 * rng.normal(size=cloud.points.shape)
+        samples = SampleCloud(np.vstack([cloud.points, jittered]))
+        rep = variety_jet_check(F, G, samples, tol=tol)
+        K = min(g.order for g in G)
+        want = jet_loop_forward_failures(F, G, samples.points, rep.threshold, tol, K)
+        assert rep.forward_failures == want
+        assert rep.forward_checked == rep.witnesses
+
+
+def test_lift_blocks_do_not_change_the_report(monkeypatch):
+    import deformkit.varieties as varieties_mod
+
+    f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
+    cloud = sample_hypersurface(f, 1.0, 1, grid=5)
+    g = tail_jets(f, 8, np.random.default_rng(6))
+    whole = variety_jet_check(f, g, cloud)
+    monkeypatch.setattr(varieties_mod, "_LIFT_BLOCK", 3)
+    assert variety_jet_check(f, g, cloud) == whole
+    # Only the double root of the fiber t1^2 at t2 = 0 is not lifted.
+    assert whole.witnesses > 3 and whole.backward_checked == whole.witnesses - 2
 
 
 def test_jet_witnesses_reject_standard_part_mismatch():
     g = JetPoly.from_sparse(DIAGONAL + SparsePoly.constant(2, 0.5))
     pts = np.zeros((1, 2), dtype=np.complex128)
     with pytest.raises(ValueError):
-        variety_jet_check(DIAGONAL, g, SampleCloud(pts), seed=0)
+        variety_jet_check(DIAGONAL, g, SampleCloud(pts))
 
 
 def test_classify_jet_point():
