@@ -554,12 +554,15 @@ def _series_horner(G: np.ndarray, W: np.ndarray) -> np.ndarray:
     return r
 
 
-def _lift_simple_roots(G: np.ndarray, z: np.ndarray, dp: np.ndarray):
+def _lift_simple_roots(G: np.ndarray, z: np.ndarray):
     """The (R, K+1) lifts above the simple roots ``z`` of the standard rows
-    of ``G``, with derivatives ``dp``, and per order 1..K their residuals,
-    rounding bounds and pass flags (``hensel_lift_root`` has the rule)."""
+    of ``G``, and per order 1..K their residuals, rounding bounds and pass
+    flags (``hensel_lift_root`` has the rule).  Each Newton step divides by
+    the derivative of the standard row at its root."""
     K = G.shape[2] - 1
     with np.errstate(over="ignore", invalid="ignore"):
+        at = z[None, :] if G.shape[0] == 1 else z[:, None]  # a shared row, or one per root
+        dp = _kernels.horner(G[:, :, 0], at)[1].ravel()
         W = np.zeros((z.size, K + 1), dtype=np.complex128)
         W[:, 0] = z
         for k in range(1, K + 1):
@@ -578,7 +581,7 @@ def hensel_lift_root(
     ``zeta`` is one root (returns a ``Jet``) or a 1-D array of roots
     (returns a tuple of ``Jet``, in the same order).  Each lift is
     ``w = zeta + c_1 eps + ... + c_K eps**K`` with ``c_k = -[g(w)]_k /
-    f'(zeta)``, where ``[g(w)]_k`` is coefficient k of one power-series
+    st(g)'(zeta)``, where ``[g(w)]_k`` is coefficient k of one power-series
     Horner over all roots at once, taken while ``w`` stops at order k - 1.
     The standard part of each lift is exactly its ``zeta``.
 
@@ -634,7 +637,7 @@ def hensel_lift_root(
                 f"{SIMPLE_ROOT_MIN_DERIV}; root is (numerically) multiple and "
                 "cannot be lifted by integer-power jets"
             )
-    W, res, bound, ok = _lift_simple_roots(G, z, dp)
+    W, res, bound, ok = _lift_simple_roots(G, z)
     if not ok.all():
         i, k = np.argwhere(~ok)[0]
         where = f"at order {k + 1} above the root {complex(z[i])}"

@@ -570,7 +570,7 @@ def _fiber_lifts(f: SparsePoly, g: JetPoly, z: np.ndarray, K: int):
     dp = _kernels.horner(C, z[:, j : j + 1])[1][:, 0]
     lifted = (abs(C[:, -1]) >= DEGENERATE_LEAD_TOL) & (abs(dp) >= SIMPLE_ROOT_MIN_DERIV)
     G = _fibers([(i, jet._window(0, K)) for i, jet in g.sorted_terms()], j, z[lifted])
-    W, _, _, ok = _lift_simple_roots(G, z[lifted, j], dp[lifted])
+    W, _, _, ok = _lift_simple_roots(G, z[lifted, j])
     return lifted, W, ok.all(axis=1)
 
 

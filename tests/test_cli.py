@@ -185,6 +185,31 @@ def test_jet_lift_report(files, tmp_path):
     assert rep["result"]["skipped"] == []
 
 
+def test_lift_divides_by_the_derivative_of_the_standard_part(files, tmp_path):
+    # st(g) = t^2 - 1 + 5e-13 t is within ST_MATCH_TOL of f = t^2 - 1, so
+    # both commands accept the pair.  Dividing the Newton step by f'(zeta)
+    # instead of st(g)'(zeta) leaves an order-1 residual of about 5e-13 times
+    # the lift coefficient, far above its rounding bound (exit 2 before).
+    g = JetPoly(
+        1,
+        {
+            (2,): Jet.constant(1),
+            (1,): Jet.constant(5e-13),
+            (0,): -(Jet.constant(1) + Jet.eps()),
+        },
+    )
+    gp = tmp_path / "gshift.json"
+    gp.write_text(json.dumps(g.to_json_dict()))
+    rep = run_json(["jet-lift", "--f", files["f1.json"], "--g", str(gp)], str(tmp_path / "l.json"))
+    assert len(rep["result"]["pairs"]) == 2
+    rep = run_json(
+        ["variety", "--f", files["f1.json"], "--g", str(gp), "--grid", "5"],
+        str(tmp_path / "v.json"),
+    )["result"]
+    assert rep["backward_checked"] == rep["witnesses"] == 2
+    assert rep["backward_failures"] == 0 and rep["passed"] is True
+
+
 def test_variety_residual_sweep(files, tmp_path):
     out = str(tmp_path / "variety.json")
     rep = run_json(

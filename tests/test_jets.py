@@ -403,8 +403,8 @@ def test_batched_lifts_are_bit_identical_to_one_root_lifts(degree, order, seed):
 
 def test_lift_rows_give_the_shared_row_lift():
     # One coefficient row per root, as the variety check builds them, lifts
-    # each root exactly as the one row shared by all roots does.
-    from deformkit._kernels import horner
+    # each root exactly as the one row shared by all roots does, Newton
+    # derivative included.
     from deformkit.jets import _lift_simple_roots
 
     rng = np.random.default_rng(8)
@@ -412,10 +412,9 @@ def test_lift_rows_give_the_shared_row_lift():
     g = tail_jet(f, 12, seed=3)
     zetas = np.array([z for z, _ in find_roots(f).roots])
     shared = np.array([g.terms[(i,)]._window(0, 12) for i in range(6)])[None]
-    dp = horner(f.coeffs[None, :], zetas[None, :])[1][0]
-    W1, res1, bound1, ok1 = _lift_simple_roots(shared, zetas, dp)
+    W1, res1, bound1, ok1 = _lift_simple_roots(shared, zetas)
     rows = np.repeat(shared, zetas.size, axis=0)
-    W2, res2, bound2, ok2 = _lift_simple_roots(rows, zetas, dp)
+    W2, res2, bound2, ok2 = _lift_simple_roots(rows, zetas)
     assert W1.tobytes() == W2.tobytes() and ok1.all() and ok2.all()
     assert res1.tobytes() == res2.tobytes() and bound1.tobytes() == bound2.tobytes()
     lifts = hensel_lift_root(f, zetas, g)

@@ -2,14 +2,16 @@
 supremum, per-point evaluation, ``numpy.polynomial`` and ``numpy.roots``."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from deformkit import _kernels
+from deformkit import _kernels, delta_bound, random_deformation
 from deformkit.polynomials import SparsePoly
 from deformkit.roots import UniPoly, _initial_points_batch
-from deformkit.varieties import eval_at_points
+from deformkit.varieties import _term_arrays, complex_grid_axis, eval_at_points
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -98,6 +100,165 @@ def test_grid_sup_survives_overflowing_squares(monkeypatch):
     coeffs = np.array([1e156 + 0j])
     s, flat = _kernels.grid_sup_abs(exps, coeffs, [axis])
     assert (s, flat) == (1e156, 49)
+
+
+def full_scan_sup(exps, coeffs, axes):
+    """The full scan that the pruned one replaced: every grid point, in
+    blocks of last-axis rows, ranked by ``(sup**2, sup)``; ties go to the
+    smallest last-axis index, then the smallest outer index."""
+    exps = np.asarray(exps, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    last, outer_axes = axes[-1], axes[:-1]
+    g_last = np.unique(exps[:, -1])
+    rows = np.searchsorted(g_last, exps[:, -1])
+    outer = math.prod(a.size for a in outer_axes)
+    partial = np.empty((g_last.size, outer), dtype=np.complex128)
+    for r in range(g_last.size):
+        sel = rows == r
+        partial[r] = _kernels.grid_values(exps[sel, :-1], coeffs[sel], outer_axes)
+    pow_last = last[:, None] ** g_last[None, :]
+    best, best_flat = (-1.0, math.nan), 0
+    chunk = max(1, (1 << 20) // outer)
+    for start in range(0, last.size, chunk):
+        vals = pow_last[start : start + chunk] @ partial
+        with np.errstate(over="ignore"):
+            mag2 = vals.real**2
+            mag2 += vals.imag**2
+        top = float(mag2.max())
+        if top == np.inf:
+            mag2 = np.abs(vals)
+            key = (top, float(mag2.max()))
+        else:
+            key = (top, math.sqrt(top))
+        if key > best:
+            best = key
+            kk, m = divmod(int(np.argmax(mag2)), outer)
+            best_flat = m * last.size + (start + kk)
+    return best[1], best_flat
+
+
+def test_pruned_scan_matches_the_full_scan():
+    rng = np.random.default_rng(1501)
+    for i in range(120):
+        exps, coeffs, axes = random_problem(rng)
+        if i % 2:
+            axes = [complex_grid_axis(float(rng.choice([1.0, 2.0])), 9)] * len(axes)
+        s, flat = _kernels.grid_sup_abs(exps, coeffs, axes)
+        want, want_flat = full_scan_sup(exps, coeffs, axes)
+        assert abs(s - want) <= 1e-15 * want
+        assert flat == want_flat
+
+
+@pytest.mark.parametrize(
+    "exps, coeffs",
+    [
+        ([[2, 0, 1]], [0.5 + 0.25j]),  # monomials: ties under the axes' symmetry
+        ([[1, 1, 1]], [1.0]),
+        ([[0, 0, 4]], [-0.5j]),
+        ([[0, 0, 0]], [0.3]),  # constant: every point ties
+        ([[1, 0, 2], [0, 0, 0]], [0.5j, 0.25]),  # no t_2
+        ([[3, 1, 0], [1, 0, 0]], [0.25, -1.0]),  # no t_3
+        ([[0, 2, 1], [0, 0, 3]], [1.0, 0.5 - 0.5j]),  # no t_1
+    ],
+)
+@pytest.mark.parametrize("T", [1.0, 2.0])
+def test_pruned_scan_breaks_ties_like_the_full_scan(exps, coeffs, T):
+    # Axis values and coefficients are dyadic, so every product and sum is
+    # exact and the ties are exact ties, whatever the block shapes.
+    axes = [complex_grid_axis(T, 5)] * 3
+    got = _kernels.grid_sup_abs(exps, coeffs, axes)
+    assert got == full_scan_sup(exps, coeffs, axes)
+    b, _ = brute_sup(np.array(exps), np.array(coeffs, dtype=np.complex128), axes)
+    assert got[0] == b
+
+
+def test_a_nan_anywhere_gives_a_nan_supremum():
+    axes = [np.array([1.0, 2.0, 3.0], dtype=np.complex128)] * 2
+    s, flat = _kernels.grid_sup_abs([[1, 1]], [math.nan], axes)
+    assert math.isnan(s) and flat == 0
+    # One outer point only: (1e308 + 0j)**2 is not finite.
+    axes = [np.array([1.0, 1e308, 3.0], dtype=np.complex128), axes[1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, flat = _kernels.grid_sup_abs([[2, 1], [0, 1]], [1.0, 1.0], axes)
+    assert math.isnan(s) and flat == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_peeled_grids_prune_and_match_bruteforce(monkeypatch, n):
+    # A small outer limit peels the first axis (twice at n = 4); every slice
+    # prunes against the suprema of the slices before it.
+    monkeypatch.setattr(_kernels, "_OUTER_LIMIT", 4)
+    evaluated = []
+    block_max = _kernels._block_max
+
+    def counting(a, b, scratch):
+        evaluated.append(a.shape[0] * b.shape[1])
+        return block_max(a, b, scratch)
+
+    monkeypatch.setattr(_kernels, "_block_max", counting)
+    rng = np.random.default_rng(1502 + n)
+    total = 0
+    for _ in range(12):
+        exps = rng.integers(0, 4, size=(int(rng.integers(1, 6)), n))
+        coeffs = rng.normal(size=len(exps)) + 1j * rng.normal(size=len(exps))
+        axes = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(n)]
+        s, flat = _kernels.grid_sup_abs(exps, coeffs, axes)
+        b, bflat = brute_sup(exps, coeffs, axes)
+        assert s == pytest.approx(b, rel=1e-12)
+        assert flat == bflat
+        total += 5**n
+    assert sum(evaluated) < total / 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e160, 1e200, 1e250, 1e300])
+def test_fiber_bounds_cover_every_computed_value(scale):
+    rng = np.random.default_rng(1503)
+    for _ in range(30):
+        exps, coeffs, axes = random_problem(rng)
+        partial, pow_last = _kernels._fiber_split(exps, coeffs * scale, axes)
+        col, row = _kernels._fiber_bounds(partial, pow_last)
+        for rows, cols in ((slice(None), slice(None)), (slice(None, None, 2), slice(1, None, 3))):
+            vals = pow_last[rows] @ partial[:, cols]
+            # The ranked value: sqrt(re**2 + im**2), or |value| past its overflow.
+            with np.errstate(over="ignore"):
+                mag2 = vals.real**2 + vals.imag**2
+            ranked = np.where(np.isinf(mag2), np.abs(vals), np.sqrt(mag2))
+            c, r = col[cols][None, :], row[rows][:, None]
+            for v in (np.abs(vals), ranked):
+                assert not (v > c).any() and not (v > r).any()
+            # A finite bound also rules out NaN values.
+            assert not (np.isnan(vals) & np.isfinite(c)).any()
+            assert not (np.isnan(vals) & np.isfinite(r)).any()
+
+
+def test_pruned_scan_never_holds_a_full_block():
+    # A lemma deformation with three variables at grid 21 (seed 11).  Beside
+    # the fiber split ``partial``, the full scan held a block of 2**20
+    # values (16 MiB) and two moduli arrays of half that (41 MiB in all).
+    rng = np.random.default_rng(11)
+    while True:
+        terms = {}
+        for _ in range(5):
+            idx = tuple(int(x) for x in rng.integers(0, 5, 3))
+            if sum(idx) <= 4:
+                terms[idx] = complex(*rng.uniform(-1, 1, 2))
+        f = SparsePoly(3, terms)
+        if len({i[-1] for i in terms}) >= 3:
+            break
+    limit = delta_bound(0.1, 1.0, f.total_degree(), f.support_size())
+    exps, coeffs = _term_arrays(random_deformation(f, 0.9 * limit, seed=11) - f)
+    axes = [complex_grid_axis(1.0, 21)] * 3
+    _kernels.grid_sup_abs(exps, coeffs, [a[:9] for a in axes])  # first-use imports
+    tracemalloc.start()
+    try:
+        got = _kernels.grid_sup_abs(exps, coeffs, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    partial, _ = _kernels._fiber_split(exps, coeffs, axes)
+    block = (1 << 20) * np.dtype(np.complex128).itemsize
+    assert peak - partial.nbytes < block / 4
+    assert got == full_scan_sup(exps, coeffs, axes)
 
 
 def test_grid_evaluator_matches_pointwise_evaluation():

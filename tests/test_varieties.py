@@ -25,6 +25,7 @@ from deformkit import (
     v_eps_member,
     variety_jet_check,
 )
+from deformkit import _kernels
 from deformkit.jets import INFINITE, hensel_lift_root, standard_part
 from deformkit.roots import UniPoly, find_roots
 from deformkit.varieties import _fiber_lifts, eval_at_points
@@ -198,6 +199,35 @@ def test_lemma_agrees_with_bruteforce_grid():
         axis = complex_grid_axis(1.0, 7)
         worst, _ = brute_sup(g - f, list(axis), n)
         assert rep.sup_deviation == pytest.approx(worst, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("n, outer_limit", [(3, None), (4, 1 << 10)])
+def test_lemma_reports_a_grid_point_attaining_the_grid_supremum(monkeypatch, n, outer_limit):
+    # The pruned scan evaluates few of the grid points; the reported
+    # supremum and point must still be those of every point's value.  At
+    # n = 4 a lower outer limit peels the first axis, slice by slice.
+    if outer_limit is not None:
+        monkeypatch.setattr(_kernels, "_OUTER_LIMIT", outer_limit)
+    from deformkit import degree_and_support
+
+    rng = np.random.default_rng(1500 + n)
+    axis = complex_grid_axis(1.0, 7)
+    points = np.array(list(itertools.product(axis, repeat=n)), dtype=np.complex128)
+    for _ in range(4):
+        terms = {}
+        while len(terms) < 4:
+            idx = tuple(int(x) for x in rng.integers(0, 5, n))
+            if sum(idx) <= 4:
+                terms[idx] = complex(*rng.uniform(-1, 1, 2))
+        f = SparsePoly(n, terms)
+        d, s = degree_and_support(f)
+        g = random_deformation(f, 0.9 * delta_bound(0.5, 1, d, s), seed=int(rng.integers(99)))
+        rep = lemma_check(f, g, T=1, eps=0.5, grid=7)
+        values = np.abs(eval_at_points(g - f, points))
+        assert rep.points_checked == len(points)
+        assert rep.sup_deviation == pytest.approx(values.max(), rel=1e-13)
+        at = abs((g - f).evaluate(rep.argmax_point))
+        assert at == pytest.approx(values.max(), rel=1e-13)
 
 
 def test_lemma_guarantee_random_sweep():
@@ -467,6 +497,24 @@ def test_overflowing_lift_is_a_counted_failure():
     assert rep.to_json_dict()["passed"] is False
 
 
+def test_fiber_lift_divides_by_the_derivative_of_the_standard_part():
+    # st(g) = t1^2 - t2 + 5e-13 t1 is within ST_MATCH_TOL of f: the Newton
+    # step along t1 must divide by the st(g) fiber's derivative, not f's.
+    f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
+    g = JetPoly(
+        2,
+        {
+            (2, 0): Jet.constant(1),
+            (1, 0): Jet.constant(5e-13),
+            (0, 1): Jet.constant(-1),
+            (0, 0): Jet.eps() * 0.3j,
+        },
+    )
+    pts = np.array([[1.0, 1.0], [-1.0, 1.0], [1j, -1.0], [2.0, 4.0]], dtype=np.complex128)
+    rep = variety_jet_check(f, g, SampleCloud(pts))
+    assert rep.backward_checked == 4 and rep.backward_failures == 0 and rep.passed
+
+
 def test_multiple_and_degenerate_fibers_are_not_checked():
     # t1^2 t2 + t1 along t1: at t2 = 0 the fiber drops degree; at (-1, 1)
     # the fiber root is simple.
@@ -479,6 +527,23 @@ def test_multiple_and_degenerate_fibers_are_not_checked():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [-1j, -1.0]], dtype=np.complex128)
     lifted, W, ok = _fiber_lifts(f, tail_jets(f, 8, np.random.default_rng(2)), pts, 8)
     assert lifted.tolist() == [False, True, True] and W.shape == (2, 9) and ok.all()
+
+
+def test_block_with_no_lifted_witness_checks_nothing(monkeypatch):
+    # t1^2 - t2 at t2 = 0 has the double fiber root 0, so no witness of the
+    # cloud, or of its last lift block, is lifted.
+    import deformkit.varieties as varieties_mod
+
+    f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
+    g = tail_jets(f, 8, np.random.default_rng(3))
+    lifted, W, ok = _fiber_lifts(f, g, np.zeros((2, 2), dtype=np.complex128), 8)
+    assert not lifted.any() and W.shape == (0, 9) and ok.shape == (0,)
+    rep = variety_jet_check(f, g, SampleCloud(np.zeros((1, 2), dtype=np.complex128)))
+    assert rep.witnesses == 1 and rep.backward_checked == 0 and rep.passed
+    pts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    monkeypatch.setattr(varieties_mod, "_LIFT_BLOCK", 2)
+    rep = variety_jet_check(f, g, SampleCloud(pts))
+    assert rep.witnesses == 3 and rep.backward_checked == 2 and rep.passed
 
 
 def jet_loop_forward_failures(F, G, points, threshold, tol, K):
