@@ -1,5 +1,5 @@
-"""The hot kernels, in NumPy: grid suprema, product-grid values, batched
-Horner evaluation and batched Aberth sweeps.
+"""The hot kernels, in NumPy: grid suprema, product-grid values and their
+fiber split, batched Horner evaluation and batched Aberth sweeps.
 
 ``BACKEND`` names this implementation; every CLI report records it.
 """
@@ -34,9 +34,7 @@ def grid_values(exps, coeffs, axes):
     Cartesian product of the axis value arrays, flattened in C order (last
     axis fastest).  With no axes the result is the one-element constant sum.
     """
-    M = 1
-    for a in axes:
-        M *= a.size
+    M = math.prod(a.size for a in axes)
     if M > _GRID_LIMIT:
         raise ValueError(f"grid of {M} points is too large; lower the resolution")
     vals = np.zeros(M, dtype=np.complex128)
@@ -79,13 +77,11 @@ def _sup_recurse(exps, coeffs, axes, best):
     keeps ``best``); otherwise ``(best, -1)``.  A NaN value gives
     ``((nan, nan), 0)``."""
     sizes = [a.size for a in axes]
-    outer = 1
-    for s in sizes[:-1]:
-        outer *= s
+    outer = math.prod(sizes[:-1])
     if len(axes) > 1 and outer > _OUTER_LIMIT:
         # Peel the first axis and recurse so the materialized outer grid
         # stays bounded; each slice prunes against the slices before it.
-        tail = int(np.prod(sizes[1:], dtype=np.int64))
+        tail = math.prod(sizes[1:])
         best_flat = -1
         for k, v in enumerate(axes[0]):
             sub_coeffs = coeffs * v ** exps[:, 0]
@@ -98,24 +94,22 @@ def _sup_recurse(exps, coeffs, axes, best):
     return _sup_gemm(exps, coeffs, axes, best)
 
 
-def _fiber_split(exps, coeffs, axes):
-    """``(partial, pow_last)`` with ``h = pow_last @ partial`` on the grid:
-    ``h = sum_r P_r(x) * z**g_r`` over the distinct last-axis exponents
-    ``g_r``, where ``partial[r, m] = P_r`` at outer point m (C order over
-    all axes but the last) and ``pow_last[k, r]`` is last-axis value k to
-    the power ``g_r``."""
-    last = axes[-1]
-    g_last = np.unique(exps[:, -1])
-    rows = np.searchsorted(g_last, exps[:, -1])
-    outer_axes = axes[:-1]
-    outer = 1
-    for a in outer_axes:
-        outer *= a.size
-    partial = np.zeros((g_last.size, outer), dtype=np.complex128)
-    for r in range(g_last.size):
+def fiber_split(exps, coeffs, outer_axes):
+    """Split ``h = sum_t coeffs[t] * prod_j x_j**exps[t, j]`` by the powers
+    of its last variable z: ``h = sum_r P_r * z**powers[r]``.
+
+    ``powers`` are the distinct last-column exponents, ascending, and
+    ``partial[r, m]`` is ``P_r`` at point m of the product grid of
+    ``outer_axes`` (one axis per other column, C order), summed in term
+    order by ``grid_values``.
+    """
+    powers = np.unique(exps[:, -1])
+    rows = np.searchsorted(powers, exps[:, -1])
+    partial = np.empty((powers.size, math.prod(a.size for a in outer_axes)), np.complex128)
+    for r in range(powers.size):
         sel = rows == r
         partial[r] = grid_values(exps[sel, :-1], coeffs[sel], outer_axes)
-    return partial, last[:, None] ** g_last[None, :]
+    return powers, partial
 
 
 def _fiber_bounds(partial, pow_last):
@@ -161,7 +155,8 @@ def _sup_gemm(exps, coeffs, axes, best):
     still reach the running supremum.  A block's rows and columns ascend,
     so its first argmax is its tie winner; blocks tie-break by (k, m).
     """
-    partial, pow_last = _fiber_split(exps, coeffs, axes)
+    powers, partial = fiber_split(exps, coeffs, axes[:-1])
+    pow_last = axes[-1][:, None] ** powers
     col_ub, row_ub = _fiber_bounds(partial, pow_last)
     n_last = pow_last.shape[0]
     best_k = best_m = -1  # a key from an earlier slice wins its ties

@@ -561,8 +561,7 @@ def _lift_simple_roots(G: np.ndarray, z: np.ndarray):
     the derivative of the standard row at its root."""
     K = G.shape[2] - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        at = z[None, :] if G.shape[0] == 1 else z[:, None]  # a shared row, or one per root
-        dp = _kernels.horner(G[:, :, 0], at)[1].ravel()
+        dp = _kernels.horner(G[:, :, 0], z[:, None])[1][:, 0]  # G may hold one shared row
         W = np.zeros((z.size, K + 1), dtype=np.complex128)
         W[:, 0] = z
         for k in range(1, K + 1):

@@ -34,7 +34,8 @@ __all__ = [
     "random_deformation",
 ]
 
-# Magnitude below which coefficients produced by arithmetic are dropped.
+# Default magnitude below which ``SparsePoly.prune`` drops coefficients;
+# arithmetic drops only exact zeros.
 PRUNE_TOL = 1e-14
 
 
@@ -200,7 +201,7 @@ class SparsePoly:
         out = dict(self._terms)
         for idx, c in other._terms.items():
             out[idx] = out.get(idx, 0j) + c
-        return SparsePoly(self._nvars, out).prune()
+        return SparsePoly(self._nvars, out)
 
     __radd__ = __add__
 
@@ -225,7 +226,7 @@ class SparsePoly:
             for ib, cb in other._terms.items():
                 idx = tuple(a + b for a, b in zip(ia, ib))
                 out[idx] = out.get(idx, 0j) + ca * cb
-        return SparsePoly(self._nvars, out).prune()
+        return SparsePoly(self._nvars, out)
 
     __rmul__ = __mul__
 

@@ -13,11 +13,13 @@ supremum numerically), and consequently the zero set of ``f`` inside
 ``H(T)`` stays inside the eps-sublevel set of ``g`` (``containment_check``).
 
 Zero sets are sampled fiberwise: fixing all coordinates but one on a grid
-leaves a univariate polynomial per fiber, solved in one batched sweep.
+leaves a univariate polynomial per fiber, split off by ``_kernels.fiber_split``
+as in ``lemma_check``'s grid supremum and solved in one batched sweep.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 from dataclasses import dataclass, field
@@ -86,14 +88,22 @@ class Hypercube:
     def contains(self, point: Sequence[complex]) -> bool:
         if len(point) != self.n:
             raise ValueError(f"point has dimension {len(point)}, expected {self.n}")
-        return max(abs(complex(z)) for z in point) <= self.T
+        return max(abs(z) for z in _finite_point(point)) <= self.T
+
+
+def _finite_point(point: Sequence[complex], name: str = "point") -> list[complex]:
+    """``point`` as a list of complex numbers; NaN or inf raises ValueError."""
+    coords = [complex(z) for z in point]
+    if not all(cmath.isfinite(z) for z in coords):
+        raise ValueError(f"non-finite coordinate in {name}: {coords}")
+    return coords
 
 
 def complex_grid_axis(T: float, resolution: int) -> np.ndarray:
     """Grid values for one complex coordinate, C-ordered by (re, im) index."""
     _require_positive("T", T)
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if resolution < 3:  # 2 points per real axis give only the corners +-T +-iT
+        raise ValueError(f"resolution must be >= 3 to reach the disk, got {resolution}")
     g = np.linspace(-T, T, resolution)
     re, im = np.meshgrid(g, g, indexing="ij")
     vals = (re + 1j * im).ravel()
@@ -213,19 +223,19 @@ def _deformation_precondition(
 
 def _term_arrays(p: SparsePoly):
     items = p.sorted_terms()
-    if not items:
-        return np.zeros((0, p.nvars), dtype=np.int64), np.zeros(0, dtype=np.complex128)
-    exps = np.array([idx for idx, _ in items], dtype=np.int64)
-    coeffs = np.array([c for _, c in items], dtype=np.complex128)
-    return exps, coeffs
+    exps = np.array([idx for idx, _ in items], dtype=np.int64).reshape(len(items), p.nvars)
+    return exps, np.array([c for _, c in items], dtype=np.complex128)
 
 
-def _decode_flat(flat: int, axes: list[np.ndarray]) -> tuple[complex, ...]:
-    idx = []
-    for a in reversed(axes):
-        flat, k = divmod(flat, a.size)
-        idx.append(a[k])
-    return tuple(reversed(idx))
+def _grid_points(flat, axes: list[np.ndarray]) -> np.ndarray:
+    """Points of the product grid of ``axes`` at the C-order (last axis
+    fastest) indices ``flat``, a scalar or an array: shape
+    ``np.shape(flat) + (len(axes),)``."""
+    out = np.empty(np.shape(flat) + (len(axes),), dtype=np.complex128)
+    for q in reversed(range(len(axes))):
+        flat, k = np.divmod(flat, axes[q].size)
+        out[..., q] = axes[q][k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -270,7 +280,7 @@ def lemma_check(
     axes = [axis] * f.nvars
     exps, coeffs = _term_arrays(diff)
     sup, flat = _kernels.grid_sup_abs(exps, coeffs, axes)
-    point = _decode_flat(max(flat, 0), axes)
+    point = tuple(_grid_points(max(flat, 0), axes))
     total = axis.size**f.nvars
     return LemmaReport(
         eps=eps,
@@ -333,67 +343,31 @@ def sample_hypersurface(
     scale = 1.0 + f.coeff_inf_norm() * support * float(max(T, 1.0)) ** d
 
     other = [k for k in range(n) if k != j]
-    axis_vals = complex_grid_axis(T, grid)
-    fiber_axes = [axis_vals] * len(other)
-    fibers = 1
-    for a in fiber_axes:
-        fibers *= a.size
+    fiber_axes = [complex_grid_axis(T, grid)] * len(other)
 
-    # Specialized coefficients c_k over the fiber grid: c_k collects the
-    # terms whose axis exponent is k, as a polynomial in the other variables.
-    C = np.zeros((fibers, m + 1), dtype=np.complex128)
-    for k in range(m + 1):
-        sel = [(idx, c) for idx, c in f.sorted_terms() if idx[j] == k]
-        if not sel:
-            continue
-        if other:
-            exps = np.array([[idx[o] for o in other] for idx, _ in sel], dtype=np.int64)
-            coeffs = np.array([c for _, c in sel], dtype=np.complex128)
-            C[:, k] = _kernels.grid_values(exps, coeffs, fiber_axes)
-        else:
-            C[:, k] = sum(c for _, c in sel)
+    # Row b of C holds the coefficients in the axis variable at fiber b.
+    exps, coeffs = _term_arrays(f)
+    powers, partial = _kernels.fiber_split(exps[:, other + [j]], coeffs, fiber_axes)
+    C = np.zeros((partial.shape[1], m + 1), dtype=np.complex128)
+    C[:, powers] = partial.T
 
-    good = np.abs(C[:, m]) >= DEGENERATE_LEAD_TOL
-    degenerate = int(fibers - good.sum())
-
-    points = np.zeros((0, n), dtype=np.complex128)
-    unconverged = 0
-    max_residual = 0.0
-    kept_count = 0
-    if good.any():
-        roots, res, converged = solve_batch(C[good])
-        unconverged = int((~converged).sum())
-        keep = (np.abs(roots) <= T * (1.0 + 1e-12)) & (res <= tol * scale)
-
-        fiber_ids = np.nonzero(good)[0]
-        if other:
-            shape = tuple(a.size for a in fiber_axes)
-            multi = np.unravel_index(fiber_ids, shape)
-            fiber_coords = np.stack(
-                [fiber_axes[q][multi[q]] for q in range(len(other))], axis=1
-            )
-        else:
-            fiber_coords = np.zeros((1, 0), dtype=np.complex128)
-
-        rows, cols = np.nonzero(keep)
-        pts = np.zeros((rows.size, n), dtype=np.complex128)
-        for q, o in enumerate(other):
-            pts[:, o] = fiber_coords[rows, q]
-        pts[:, j] = roots[rows, cols]
-        points = pts
-        kept_count = rows.size
-        if rows.size:
-            max_residual = float(res[rows, cols].max())
+    good = np.flatnonzero(np.abs(C[:, m]) >= DEGENERATE_LEAD_TOL)
+    roots, res, converged = solve_batch(C[good])
+    keep = (np.abs(roots) <= T * (1.0 + 1e-12)) & (res <= tol * scale)
+    rows, cols = np.nonzero(keep)
+    points = np.empty((rows.size, n), dtype=np.complex128)
+    points[:, other] = _grid_points(good[rows], fiber_axes)
+    points[:, j] = roots[rows, cols]
 
     return SampleCloud(
         points,
         label=f"sampled zero set (axis={axis}, T={T}, grid={grid})",
         meta={
-            "fibers_total": int(fibers),
-            "fibers_degenerate": degenerate,
-            "fibers_unconverged": unconverged,
-            "points_kept": int(kept_count),
-            "max_residual": max_residual,
+            "fibers_total": len(C),
+            "fibers_degenerate": len(C) - good.size,
+            "fibers_unconverged": int((~converged).sum()),
+            "points_kept": rows.size,
+            "max_residual": float(res[rows, cols].max(initial=0.0)),
             "residual_scale": scale,
             "tol": tol,
         },

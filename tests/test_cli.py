@@ -437,6 +437,27 @@ def test_counterexample_without_disk_points_is_exit_one(tmp_path, capsys):
     assert "measure_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lemma", "contain", "variety", "counterexample"])
+def test_grid_without_disk_points_is_exit_one(command, files, tmp_path, capsys):
+    # Below 3 points per real axis no grid value lies in the disk: lemma
+    # divided by zero (exit 2), contain passed over 0 samples and
+    # counterexample found no witness (exit 0).
+    inputs = {
+        "lemma": ["--f", files["f2.json"], "--g", files["g2.json"]],
+        "contain": ["--f", files["diag.json"], "--g", files["diag.json"]],
+        "variety": ["--f", files["diag.json"]],
+        "counterexample": [],
+    }[command]
+    out = tmp_path / "r.json"
+    for grid in ("0", "1", "2"):
+        rc = main([command, *inputs, "--grid", grid, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert err.startswith("deformkit: error: ") and err.count("\n") == 1
+    assert main([command, *inputs, "--grid", "3", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -215,7 +215,8 @@ def test_fiber_bounds_cover_every_computed_value(scale):
     rng = np.random.default_rng(1503)
     for _ in range(30):
         exps, coeffs, axes = random_problem(rng)
-        partial, pow_last = _kernels._fiber_split(exps, coeffs * scale, axes)
+        powers, partial = _kernels.fiber_split(exps, coeffs * scale, axes[:-1])
+        pow_last = axes[-1][:, None] ** powers
         col, row = _kernels._fiber_bounds(partial, pow_last)
         for rows, cols in ((slice(None), slice(None)), (slice(None, None, 2), slice(1, None, 3))):
             vals = pow_last[rows] @ partial[:, cols]
@@ -255,10 +256,48 @@ def test_pruned_scan_never_holds_a_full_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    partial, _ = _kernels._fiber_split(exps, coeffs, axes)
+    _, partial = _kernels.fiber_split(exps, coeffs, axes[:-1])
     block = (1 << 20) * np.dtype(np.complex128).itemsize
     assert peak - partial.nbytes < block / 4
     assert got == full_scan_sup(exps, coeffs, axes)
+
+
+def per_exponent_fibers(f, j, fiber_axes):
+    """The fiber coefficients that sampling built before it shared the fiber
+    split: one ``grid_values`` call per exponent k of variable j, over the
+    terms with that exponent, and a plain sum when there is no other axis."""
+    other = [k for k in range(f.nvars) if k != j]
+    C = np.zeros((math.prod(a.size for a in fiber_axes), f.degree_in(j) + 1), complex)
+    for k in range(C.shape[1]):
+        sel = [(idx, c) for idx, c in f.sorted_terms() if idx[j] == k]
+        if not sel:
+            continue
+        if other:
+            exps = np.array([[idx[o] for o in other] for idx, _ in sel], dtype=np.int64)
+            coeffs = np.array([c for _, c in sel], dtype=np.complex128)
+            C[:, k] = _kernels.grid_values(exps, coeffs, fiber_axes)
+        else:
+            C[:, k] = sum(c for _, c in sel)
+    return C
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fiber_split_matches_the_per_exponent_loop(n):
+    rng = np.random.default_rng(1600 + n)
+    for _ in range(10):
+        terms = {
+            tuple(int(x) for x in rng.integers(0, 4, n)): complex(*rng.normal(size=2))
+            for _ in range(int(rng.integers(1, 9)))
+        }
+        f = SparsePoly(n, terms)
+        exps, coeffs = _term_arrays(f)
+        for j in range(n):  # split by each variable in turn
+            other = [k for k in range(n) if k != j]
+            fiber_axes = [complex_grid_axis(1.5, 7)] * len(other)
+            powers, partial = _kernels.fiber_split(exps[:, other + [j]], coeffs, fiber_axes)
+            C = np.zeros((partial.shape[1], f.degree_in(j) + 1), complex)
+            C[:, powers] = partial.T
+            assert C.tobytes() == per_exponent_fibers(f, j, fiber_axes).tobytes()
 
 
 def test_grid_evaluator_matches_pointwise_evaluation():

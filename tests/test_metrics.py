@@ -41,6 +41,19 @@ def test_point_to_cloud():
         point_set_distance((0, 0), SampleCloud(np.zeros((0, 2))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
+@pytest.mark.parametrize("pos", [0, 1])
+def test_distances_reject_non_finite_points(bad, pos):
+    # max() drops a NaN that follows a number, so these returned 0.0.
+    point = [0j, 0j]
+    point[pos] = bad
+    for args in ((point, (0, 0)), ((0, 0), point)):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            sup_norm_dist(*args)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        point_set_distance(point, cloud([[0, 0], [1, 1]]))
+
+
 def test_hausdorff_examples():
     W = cloud([[0, 0]])
     Z = cloud([[1, 2]])

@@ -288,6 +288,13 @@ def test_arithmetic_prunes_tiny_coefficients():
     assert p.prune(1e-15).support_size() == 1
 
 
+def test_arithmetic_keeps_tiny_nonzero_coefficients():
+    t = sp(1, {(1,): 1.0})
+    assert (t * 1e-8) * (t * 1e-7) == sp(1, {(2,): 1e-8 * 1e-7})
+    assert (t + 5e-15) - t == sp(1, {(0,): 5e-15})
+    assert ((t + 5e-15) - t).prune().is_zero()  # pruning stays an explicit call
+
+
 # -- JSON round trip ----------------------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from deformkit import (
 from deformkit import _kernels
 from deformkit.jets import INFINITE, hensel_lift_root, standard_part
 from deformkit.roots import UniPoly, find_roots
-from deformkit.varieties import _fiber_lifts, eval_at_points
+from deformkit.varieties import _fiber_lifts, _grid_points, eval_at_points
 
 
 def sp(nvars, terms):
@@ -131,6 +131,38 @@ def test_hypercube_contains():
         cube.contains((1.0,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+@pytest.mark.parametrize("pos", [0, 1])
+def test_hypercube_rejects_non_finite_points(bad, pos):
+    point = [0.5, 0.5j]
+    point[pos] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        Hypercube(T=1.5, n=2).contains(point)
+
+
+@pytest.mark.parametrize("resolution", [-1, 0, 1, 2])
+def test_grid_axis_without_disk_points_is_rejected(resolution):
+    # At 2 the axis values are the corners +-T +-iT, all outside the disk.
+    with pytest.raises(ValueError, match="resolution must be >= 3"):
+        complex_grid_axis(1.0, resolution)
+    assert complex_grid_axis(1.0, 3).size == 5
+
+
+def test_grid_points_match_unravel_index():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3):
+        axes = [rng.normal(size=int(rng.integers(1, 6))) + 1j for _ in range(n)]
+        shape = tuple(a.size for a in axes)
+        flat = rng.integers(0, int(np.prod(shape)), size=17)
+        multi = np.unravel_index(flat, shape)
+        want = np.stack([a[k] for a, k in zip(axes, multi)], axis=1)
+        assert _grid_points(flat, axes).tobytes() == want.tobytes()
+        one = int(flat[0])
+        want_one = tuple(a[k] for a, k in zip(axes, np.unravel_index(one, shape)))
+        assert tuple(_grid_points(one, axes)) == want_one
+    assert _grid_points(np.arange(3), []).shape == (3, 0)
+
+
 # -- sup deviation on the window -----------------------------------------------------
 
 
@@ -164,6 +196,16 @@ def test_lemma_sup_beyond_squared_overflow():
     rep = lemma_check(t1, g, T=1, eps=1e300)
     assert rep.coeff_distance == 1e160 and rep.coeff_distance < rep.delta_limit
     assert rep.sup_deviation == 1e160
+    assert rep.passed
+
+
+def test_lemma_sees_a_deformation_below_the_prune_tolerance():
+    # g - f is the constant 5e-15; arithmetic used to prune it to zero.
+    f = sp(1, {(1,): 1.0})
+    g = sp(1, {(1,): 1.0, (0,): 5e-15})
+    rep = lemma_check(f, g, T=1, eps=1e-13)
+    assert rep.coeff_distance == 5e-15
+    assert rep.sup_deviation == 5e-15
     assert rep.passed
 
 
@@ -301,6 +343,20 @@ def test_sample_residual_scale_invariant():
         scale = 1 + f.coeff_inf_norm() * s * 1.0**d
         vals = np.abs(eval_at_points(f, cloud.points))
         assert np.all(vals <= 1e-8 * scale)
+
+
+@pytest.mark.parametrize(
+    "f", [sp(2, {(1, 0): 1e-13, (0, 1): 1.0}), sp(1, {(1,): 1e-13, (0,): 1.0})]
+)
+def test_sample_with_only_degenerate_fibers_is_empty(f):
+    # Along t1 every fiber's leading coefficient is 1e-13, below the
+    # degree-drop threshold, so no fiber is solved.
+    cloud = sample_hypersurface(f, T=1.0, axis=1, grid=5)
+    assert len(cloud) == 0 and cloud.points.shape == (0, f.nvars)
+    assert cloud.meta["fibers_total"] == (13 if f.nvars == 2 else 1)
+    assert cloud.meta["fibers_degenerate"] == cloud.meta["fibers_total"]
+    assert cloud.meta["points_kept"] == 0 and cloud.meta["max_residual"] == 0.0
+    assert cloud.meta["fibers_unconverged"] == 0
 
 
 def test_sample_rejects_constant_axis():
