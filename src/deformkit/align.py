@@ -135,13 +135,26 @@ def _unit_noise(n_coeffs: int, seed: int, trial: int) -> np.ndarray:
     return np.sqrt(u) * np.exp(2j * np.pi * v)
 
 
-def _deform(f: UniPoly, noise: np.ndarray, delta: float) -> UniPoly:
+def _deform(f: UniPoly, noise: np.ndarray, delta: float) -> np.ndarray:
+    """Coefficient rows ``f + eta``, one per row of ``noise`` (``(trials,
+    degree + 1)``), with ``eta = noise * delta * (1 - 1e-9)``."""
     eta = noise * (delta * (1.0 - 1e-9))
     # Cap the leading perturbation so the degree cannot drop.
     lead = abs(f.coeffs[-1])
     cap = min(1.0, 0.5 * lead / (delta * (1.0 - 1e-9)))
-    eta[-1] *= cap
-    return UniPoly(f.coeffs + eta)
+    eta[..., -1] *= cap
+    return f.coeffs + eta
+
+
+def _nearest_is_matching(dist: np.ndarray, eps: float) -> np.ndarray:
+    """Per (m, m) slice of ``dist``: whether sending every row to its
+    nearest column is a bijection with every distance below eps.  Where it
+    is, a perfect matching along ``dist < eps`` exists."""
+    nearest = dist.argmin(axis=-1)
+    within = np.take_along_axis(dist, nearest[..., None], axis=-1)[..., 0] < eps
+    ordered = np.sort(nearest, axis=-1)
+    distinct = (ordered[..., 1:] != ordered[..., :-1]).all(axis=-1)
+    return within.all(axis=-1) & distinct
 
 
 def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -> float:
@@ -157,27 +170,35 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     Each candidate solves all its trials in one ``solve_batch`` call (rows
     are independent, so each equals its one-row solve), then judges them in
     trial order: the first unconverged trial raises, the first unaligned one
-    fails the candidate, and later trials are not judged.
+    fails the candidate, and later trials are not judged.  A trial whose
+    nearest-root assignment is a bijection within eps is aligned; any other
+    one runs the matching of ``is_eps_aligned``.
     """
     _require_positive("eps", eps)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    base_roots = find_roots(f)
-    noises = [_unit_noise(f.coeffs.size, seed, t) for t in range(trials)]
+    base = np.array(find_roots(f).values(), dtype=np.complex128)
+    noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
 
     def passes(delta: float) -> bool:
-        deformed = [_deform(f, noise, delta) for noise in noises]
-        roots, res, converged = solve_batch(np.stack([g.coeffs for g in deformed]))
-        for trial, g in enumerate(deformed):
-            try:
-                g_roots = _certify_row(g, roots[trial], res[trial], converged[trial])
-            except RootConvergenceError as exc:
-                raise RootConvergenceError(
-                    f"trial {trial} at delta={delta:.3e}: {exc}",
-                    best_roots=exc.best_roots,
-                    residual=exc.residual,
-                ) from exc
-            if not is_eps_aligned(base_roots, g_roots, eps):
+        rows = _deform(f, noises, delta)
+        if not np.isfinite(rows.view(np.float64)).all():  # as UniPoly(row) rejects it
+            raise ValueError("coefficients must be finite")
+        roots, res, converged = solve_batch(rows)
+        with np.errstate(invalid="ignore"):  # unconverged rows may hold NaN
+            dist = np.abs(base[None, :, None] - roots[:, None, :])
+            aligned = _nearest_is_matching(dist, eps)
+        for trial in np.flatnonzero(~(converged & aligned)).tolist():
+            if not converged[trial]:  # _certify_row raises; name the trial
+                try:
+                    _certify_row(UniPoly(rows[trial]), roots[trial], res[trial], False)
+                except RootConvergenceError as exc:
+                    raise RootConvergenceError(
+                        f"trial {trial} at delta={delta:.3e}: {exc}",
+                        best_roots=exc.best_roots,
+                        residual=exc.residual,
+                    ) from exc
+            if _perfect_matching(dist[trial] < eps) is None:
                 return False
         return True
 

@@ -38,8 +38,15 @@ from .metrics import (
     point_set_distance,
     sup_norm_dist,
 )
-from .polynomials import PolySystem, SparsePoly
-from .roots import RootConvergenceError, UniPoly, cluster_multiplicities, find_roots
+from .polynomials import PolySystem, SparsePoly, _require_positive
+from .roots import (
+    RootConvergenceError,
+    UniPoly,
+    _certify_row,
+    cluster_multiplicities,
+    find_roots,
+    solve_batch,
+)
 from .varieties import (
     SampleCloud,
     containment_check,
@@ -167,8 +174,15 @@ def cmd_roots(args) -> dict:
 
 def cmd_align(args) -> dict:
     _require(args, "f", "g")
-    rf = find_roots(_load_unipoly(args.f), args.tol)
-    rg = find_roots(_load_unipoly(args.g), args.tol)
+    f = _load_unipoly(args.f)
+    _require_positive("tol", args.tol)
+    g = _load_unipoly(args.g)
+    if f.degree != g.degree:
+        raise ValueError(f"size mismatch: {f.degree} vs {g.degree}")
+    # f and g in one batch; each row equals its one-row ``find_roots`` solve.
+    roots, res, converged = solve_batch(np.stack([f.coeffs, g.coeffs]), args.tol)
+    rf = _certify_row(f, roots[0], res[0], converged[0])
+    rg = _certify_row(g, roots[1], res[1], converged[1])
     match = bottleneck_match(rf, rg)
     out = {
         "perm": list(match.perm),

@@ -558,15 +558,34 @@ def _lift_simple_roots(G: np.ndarray, z: np.ndarray):
     """The (R, K+1) lifts above the simple roots ``z`` of the standard rows
     of ``G``, and per order 1..K their residuals, rounding bounds and pass
     flags (``hensel_lift_root`` has the rule).  Each Newton step divides by
-    the derivative of the standard row at its root."""
-    K = G.shape[2] - 1
+    the derivative of the standard row at its root.
+
+    ``C[i]`` caches level i of the series Horner of ``g(W)``, so ``C[0]``
+    is ``g(W)``.  Column k of a level depends only on ``W[:, :k+1]``, so
+    order k computes column k of every level: once with ``W[:, k] = 0`` to
+    get ``[g(W)]_k``, and again with the new ``W[:, k]``.  ``accumulate``
+    sums each column's products in the order of ``_series_horner``, so the
+    values are the same bits.
+    """
+    deg, K = G.shape[1] - 1, G.shape[2] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         dp = _kernels.horner(G[:, :, 0], z[:, None])[1][:, 0]  # G may hold one shared row
         W = np.zeros((z.size, K + 1), dtype=np.complex128)
         W[:, 0] = z
+        C = np.empty((deg + 1, z.size, K + 1), dtype=np.complex128)
+        C[deg] = G[:, deg]
+
+        def column(k):
+            for i in range(deg - 1, -1, -1):
+                terms = C[i + 1][:, k::-1] * W[:, : k + 1]
+                C[i][:, k] = np.add.accumulate(terms, axis=1)[:, -1] + G[:, i, k]
+
+        column(0)
         for k in range(1, K + 1):
-            W[:, k] -= _series_horner(G, W[:, : k + 1])[:, k] / dp
-        res = np.abs(_series_horner(G, W)[:, 1:])
+            column(k)
+            W[:, k] -= C[0][:, k] / dp
+            column(k)
+        res = np.abs(C[0][:, 1:])
         bound = _ZERO_TOL * _series_horner(np.abs(G), np.abs(W))[:, 1:]
     ok = (res <= bound) & np.isfinite(bound) & np.isfinite(W[:, 1:])
     return W, res, bound, ok

@@ -332,6 +332,7 @@ def sample_hypersurface(
     """
     if f.is_zero():
         raise ValueError("cannot sample the zero polynomial")
+    _require_positive("tol", tol)
     n = f.nvars
     if not 1 <= axis <= n:
         raise ValueError(f"axis must be in 1..{n}, got {axis}")
@@ -564,6 +565,7 @@ def variety_jet_check(
     lift that fails its certificate is a failure.  Systems of two or more
     polynomials have no fiber lift and report ``backward_checked = 0``.
     """
+    _require_positive("tol", tol)
     F = PolySystem([system]) if isinstance(system, SparsePoly) else system
     G = [jet_system] if isinstance(jet_system, JetPoly) else list(jet_system)
     if len(G) != len(F):

@@ -126,6 +126,15 @@ def test_deformation_bottleneck_shrinks_with_delta():
 # -- empirical eps-to-delta modulus ------------------------------------------------
 
 
+def deform_one(f, noise, delta):
+    """Reference: the earlier one-trial ``_deform``, verbatim."""
+    eta = noise * (delta * (1.0 - 1e-9))
+    lead = abs(f.coeffs[-1])
+    cap = min(1.0, 0.5 * lead / (delta * (1.0 - 1e-9)))
+    eta[-1] *= cap
+    return UniPoly(f.coeffs + eta)
+
+
 def modulus_grid_oracle(f, eps, trials, seed, grid):
     """Independent estimate: dense delta grid with brute-force alignment."""
     base = find_roots(f).values()
@@ -133,7 +142,7 @@ def modulus_grid_oracle(f, eps, trials, seed, grid):
     for delta in grid:
         ok = True
         for t in range(trials):
-            g = _deform(f, _unit_noise(f.coeffs.size, seed, t), delta)
+            g = deform_one(f, _unit_noise(f.coeffs.size, seed, t), delta)
             if brute_force_bottleneck(base, find_roots(g).values()) >= eps:
                 ok = False
                 break
@@ -161,9 +170,19 @@ def test_modulus_double_root_needs_smaller_delta():
 
 def test_modulus_preserves_degree():
     f = UniPoly([0, 1e-6])  # tiny leading coefficient
-    noise = _unit_noise(2, 0, 0)
-    g = _deform(f, noise, 0.5)
-    assert g.degree == f.degree
+    noise = np.stack([_unit_noise(2, 0, t) for t in range(3)])
+    rows = _deform(f, noise, 0.5)
+    assert rows.shape == (3, 2)
+    assert all(UniPoly(row).degree == f.degree for row in rows)
+
+
+def test_deform_rows_equal_one_trial_deformations():
+    f = UniPoly([1 - 2j, 0.5, -3, 1e-3])
+    noise = np.stack([_unit_noise(4, 7, t) for t in range(5)])
+    for delta in (1e-12, 1e-4, 0.37, 2.0):
+        rows = _deform(f, noise, delta)
+        for row, one in zip(rows, noise):
+            assert row.tobytes() == deform_one(f, one.copy(), delta).coeffs.tobytes()
 
 
 def test_modulus_rejects_bad_arguments():
@@ -179,10 +198,10 @@ def test_matching_serialization():
     assert m.to_json_dict() == {"perm": [0, 1], "bottleneck": m.bottleneck}
 
 
-def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None):
+def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=None):
     """Route align's batched solves through the real one, but in the first
-    batch move trial ``unaligned`` far away and flag trial ``unconverged``.
-    Returns the list of batch sizes seen."""
+    batch move trial ``unaligned`` far away, flag trial ``unconverged`` and
+    give trial 0 the roots ``trial0``.  Returns the list of batch sizes seen."""
     from deformkit import align as align_mod
 
     real = align_mod.solve_batch
@@ -195,6 +214,8 @@ def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None):
                 roots[unaligned] += 10.0
             if unconverged is not None:
                 converged[unconverged] = False
+            if trial0 is not None:
+                roots[0] = trial0
         sizes.append(len(coeffs))
         return roots, res, converged
 
@@ -226,6 +247,28 @@ def test_modulus_unconverged_trial_raises_before_a_later_unaligned_one(monkeypat
     with pytest.raises(RootConvergenceError) as exc:
         empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=8)
     assert str(exc.value).startswith("trial 2 at delta=1.000e-12: ")
+
+
+# Base roots 0 and 0.004 at eps = 0.01: both base roots are nearest to the
+# trial root 0.002, so the nearest-root assignment is not a bijection.
+CLOSE_PAIR = UniPoly([0, -0.004, 1])
+
+
+def test_modulus_matches_a_trial_whose_nearest_roots_collide(monkeypatch):
+    from deformkit.align import _nearest_is_matching
+
+    want = empirical_modulus(CLOSE_PAIR, eps=0.01, trials=3)
+    trial0 = np.array([0.002, 0.009])  # 0 -> 0.009 and 0.004 -> 0.002 match
+    dist = np.abs(np.array([0, 0.004])[:, None] - trial0[None, :])
+    assert not _nearest_is_matching(dist, 0.01)
+    tamper_first_batch(monkeypatch, trial0=trial0)
+    assert empirical_modulus(CLOSE_PAIR, eps=0.01, trials=3) == want
+
+
+def test_modulus_fails_a_trial_with_no_matching(monkeypatch):
+    tamper_first_batch(monkeypatch, trial0=np.array([0.002, 0.015]))
+    with pytest.raises(ArithmeticError, match="no feasible delta"):
+        empirical_modulus(CLOSE_PAIR, eps=0.01, trials=3)
 
 
 def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
@@ -261,7 +304,7 @@ def sequential_modulus(f, eps, trials, seed):
 
     def passes(delta):
         for trial, noise in enumerate(noises):
-            g = _deform(f, noise, delta)
+            g = deform_one(f, noise, delta)
             try:
                 deformed = find_roots(g)
             except RootConvergenceError as exc:

@@ -77,6 +77,62 @@ def test_align_report(files, tmp_path):
     assert 0 < rep["result"]["bottleneck"] < 0.1
 
 
+def two_solve_align(f, g, tol, eps):
+    """Reference: the earlier ``align`` result, one ``find_roots`` per side."""
+    match = deformkit.bottleneck_match(deformkit.find_roots(f, tol), deformkit.find_roots(g, tol))
+    out = {"perm": list(match.perm), "bottleneck": match.bottleneck}
+    if eps is not None:
+        out["eps"] = eps
+        out["aligned"] = match.bottleneck < eps
+    return out
+
+
+def test_align_report_equals_the_two_solve_report(files, tmp_path):
+    rng = np.random.default_rng(4)
+    pairs = [(UniPoly([-1, 0, 1]), UniPoly([-0.98, 0.01, 1.01]))]
+    for deg in (1, 5, 12):
+        f = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        pairs.append((UniPoly(f), UniPoly(f + 1e-3 * rng.normal(size=deg + 1))))
+    for k, (f, g) in enumerate(pairs):
+        fp, gp = tmp_path / f"f{k}.json", tmp_path / f"g{k}.json"
+        fp.write_text(json.dumps(f.to_json_dict()))
+        gp.write_text(json.dumps(g.to_json_dict()))
+        for extra in ([], ["--eps", "0.01", "--tol", "1e-10"]):
+            argv = ["align", "--f", str(fp), "--g", str(gp), "--seed", "7",
+                    "--no-timestamp", *extra]
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            assert main(argv + ["--out", str(a)]) == 0
+            args = cli_mod.build_parser().parse_args(argv + ["--out", str(b)])
+            cli_mod._emit(args, two_solve_align(f, g, args.tol, args.eps))
+            assert a.read_bytes() == b.read_bytes()
+
+
+def test_align_size_mismatch_is_exit_one_before_any_solve(files, tmp_path, monkeypatch, capsys):
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(json.dumps(UniPoly([1, 0, 0, 1]).to_json_dict()))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(cli_mod, "solve_batch", no_solve)
+    out = tmp_path / "r.json"
+    rc = main(["align", "--f", files["f1.json"], "--g", str(cubic), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == "deformkit: error: size mismatch: 2 vs 3\n"
+
+
+def test_align_unconverged_g_is_exit_two(files, tmp_path, capsys):
+    g = UniPoly([1e200, 0, 1])  # Horner overflows: no certified roots
+    gp = tmp_path / "huge.json"
+    gp.write_text(json.dumps(g.to_json_dict()))
+    with np.errstate(all="ignore"), pytest.raises(deformkit.RootConvergenceError) as exc:
+        deformkit.find_roots(g)
+    out = tmp_path / "r.json"
+    rc = main(["align", "--f", files["f1.json"], "--g", str(gp), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"deformkit: error: {exc.value}\n"
+
+
 def test_lemma_report(files, tmp_path):
     out = str(tmp_path / "lemma.json")
     rep = run_json(
@@ -456,6 +512,19 @@ def test_grid_without_disk_points_is_exit_one(command, files, tmp_path, capsys):
         assert err.startswith("deformkit: error: ") and err.count("\n") == 1
     assert main([command, *inputs, "--grid", "3", "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["contain", "variety"])
+def test_negative_tol_is_exit_one(command, files, tmp_path, capsys):
+    # contain --tol -1 on t1 - t2 sampled nothing and passed: 0 violations
+    # over 0 samples.
+    inputs = ["--f", files["diag.json"]]
+    if command == "contain":
+        inputs += ["--g", files["diag.json"]]
+    out = tmp_path / "r.json"
+    assert main([command, *inputs, "--tol", "-1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "tol must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -421,6 +421,53 @@ def test_lift_rows_give_the_shared_row_lift():
     assert all(w.coeffs.tobytes() == row.tobytes() for w, row in zip(lifts, W1))
 
 
+def lift_by_full_horner(G, z):
+    """Reference: the earlier lift, one full ``_series_horner`` per order."""
+    from deformkit.jets import _ZERO_TOL, _kernels, _series_horner
+
+    K = G.shape[2] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = _kernels.horner(G[:, :, 0], z[:, None])[1][:, 0]
+        W = np.zeros((z.size, K + 1), dtype=np.complex128)
+        W[:, 0] = z
+        for k in range(1, K + 1):
+            W[:, k] -= _series_horner(G, W[:, : k + 1])[:, k] / dp
+        res = np.abs(_series_horner(G, W)[:, 1:])
+        bound = _ZERO_TOL * _series_horner(np.abs(G), np.abs(W))[:, 1:]
+    ok = (res <= bound) & np.isfinite(bound) & np.isfinite(W[:, 1:])
+    return W, res, bound, ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.integers(1, 32),
+    order=st.integers(1, 32),
+    per_row=st.booleans(),
+    infinite=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_column_lift_is_bit_identical_to_full_horner(
+    degree, order, per_row, infinite, seed
+):
+    from deformkit.jets import _lift_simple_roots
+
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * (np.arange(degree) + rng.uniform(-0.2, 0.2, degree)) / degree
+    z = rng.uniform(0.9, 1.1, degree) * np.exp(1j * theta)
+    rows = degree if per_row or infinite else 1
+    G = np.zeros((rows, degree + 1, order + 1), dtype=np.complex128)
+    G[:, :, 0] = np.poly(z)[::-1]
+    G[:, :, 1:] = rng.normal(size=(rows, degree + 1, order)) + 1j * rng.normal(
+        size=(rows, degree + 1, order)
+    )
+    if infinite:  # an infinite coefficient in one row
+        G[rng.integers(rows), rng.integers(degree + 1), rng.integers(1, order + 1)] = np.inf
+    got = _lift_simple_roots(G, z)
+    want = lift_by_full_horner(G, z)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # -- alignment of whole root sets ----------------------------------------------------
 
 

@@ -379,3 +379,70 @@ def test_aberth_respects_sweep_cap():
     roots, sweeps, converged = _kernels.aberth_batch(coeffs, z0, 1e-12, 1)
     assert not converged.any()
     assert (sweeps == 1).all()
+
+
+def aberth_reference(coeffs, z0, tol, max_sweeps):
+    """Reference: the earlier ``aberth_batch``, verbatim, with fresh
+    pairwise arrays every sweep and the ``np.where`` repulsion."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    z = np.array(z0, dtype=np.complex128, copy=True)
+    B, m = z.shape
+    abs_coeffs = np.abs(coeffs)
+    locked = np.zeros((B, m), dtype=bool)
+    sweeps = np.full(B, max_sweeps, dtype=np.int64)
+    active_rows = np.arange(B)
+    for sweep in range(max_sweeps):
+        if active_rows.size == 0:
+            break
+        zc = z[active_rows]
+        lc = locked[active_rows]
+        ca = coeffs[active_rows]
+        aa = abs_coeffs[active_rows]
+        p, dp = _kernels.horner(ca, zc)
+        az = np.abs(zc)
+        s = np.broadcast_to(aa[:, m : m + 1], zc.shape).copy()
+        for k in range(m - 1, -1, -1):
+            s = s * az + aa[:, k : k + 1]
+        res_lock = ~lc & (np.abs(p) <= _kernels._RES_FACTOR * _kernels._EPS * s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            diff = zc[:, :, None] - zc[:, None, :]
+            inv = np.where(diff != 0, 1.0 / diff, 0.0)
+            inv[:, np.arange(m), np.arange(m)] = 0.0
+            repulse = inv.sum(axis=2)
+            newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), p)
+            denom = 1.0 - newton * repulse
+            w = np.where(denom != 0, newton / np.where(denom != 0, denom, 1.0), newton)
+        step_lock = ~lc & ~res_lock & (np.abs(w) <= tol * (1.0 + np.abs(zc)))
+        move = ~lc & ~res_lock
+        zc = np.where(move, zc - w, zc)
+        lc = lc | res_lock | step_lock
+        z[active_rows] = zc
+        locked[active_rows] = lc
+        done = lc.all(axis=1)
+        sweeps[active_rows[done]] = sweep + 1
+        active_rows = active_rows[~done]
+    return z, sweeps, locked.all(axis=1)
+
+
+def test_aberth_rows_equal_their_one_row_calls_and_the_reference():
+    rng = np.random.default_rng(31)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(6, 1))
+    random_rows = scale * (rng.normal(size=(6, 11)) + 1j * rng.normal(size=(6, 11)))
+    wilkinson10 = np.poly(np.arange(1, 11) / 10.0)[::-1]
+    huge = [1e40] + [0] * 9 + [1]  # t^10 + 1e40: the iterates become NaN
+    coeffs = np.vstack([random_rows[:3], wilkinson10, huge, random_rows[3:]]).astype(complex)
+    z0 = _initial_points_batch(coeffs)
+    z0[1, 3] = z0[1, 0]  # two equal iterates: diff == 0 off the diagonal
+    z0[5, 7] = z0[5, 2] = z0[5, 9]
+    with np.errstate(all="ignore"):
+        got = _kernels.aberth_batch(coeffs, z0, 1e-12, 200)
+        want = aberth_reference(coeffs, z0, 1e-12, 200)
+        ones = [_kernels.aberth_batch(coeffs[b : b + 1], z0[b : b + 1], 1e-12, 200)
+                for b in range(len(coeffs))]
+    assert np.unique(got[1]).size >= 4  # rows retire at different sweeps
+    assert not got[2][4] and np.isnan(got[0][4]).any()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    for row, one in enumerate(ones):
+        for a, b in zip(got, one):
+            assert a[row].tobytes() == b[0].tobytes(), row

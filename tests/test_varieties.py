@@ -105,6 +105,19 @@ def test_entry_points_reject_non_finite_parameters(bad):
         containment_check(f, f, T=bad, eps=0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, 0.0])
+def test_sampling_entry_points_reject_a_non_positive_tol(bad):
+    # A NaN or negative tol kept no sample, so containment passed over 0 samples.
+    g = JetPoly.from_sparse(DIAGONAL)
+    pts = np.array([[0.5, 0.5]], dtype=np.complex128)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sample_hypersurface(DIAGONAL, 1.0, 1, grid=5, tol=bad)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        containment_check(DIAGONAL, DIAGONAL, T=1.0, eps=0.5, grid=5, tol=bad)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        variety_jet_check(DIAGONAL, g, SampleCloud(pts), tol=bad)
+
+
 def test_budget_monotonicity():
     base = delta_bound(0.5, 2, 2, 3)
     assert delta_bound(0.6, 2, 2, 3) > base
