@@ -1,5 +1,5 @@
-"""The hot kernels, in NumPy: grid suprema, product-grid values and their
-fiber split, batched Horner evaluation and batched Aberth sweeps.
+"""The hot kernels, in NumPy: grid suprema, the fiber split of a polynomial
+over a product grid, batched Horner evaluation and batched Aberth sweeps.
 
 ``BACKEND`` names this implementation; every CLI report records it.
 """
@@ -25,25 +25,8 @@ _CHUNK_ELEMS = 1 << 20
 # Columns (outer grid points) with the highest fiber bounds, scanned first
 # to seed the running supremum of grid_sup_abs.
 _SEED_COLS = 64
-# Largest product grid grid_values will materialize.
+# Largest product grid fiber_split will materialize.
 _GRID_LIMIT = 50_000_000
-
-
-def grid_values(exps, coeffs, axes):
-    """Values of ``sum_t coeffs[t] * prod_j x_j**exps[t, j]`` over the
-    Cartesian product of the axis value arrays, flattened in C order (last
-    axis fastest).  With no axes the result is the one-element constant sum.
-    """
-    M = math.prod(a.size for a in axes)
-    if M > _GRID_LIMIT:
-        raise ValueError(f"grid of {M} points is too large; lower the resolution")
-    vals = np.zeros(M, dtype=np.complex128)
-    for t in range(coeffs.size):
-        vec = np.asarray(coeffs[t])
-        for j, a in enumerate(axes):
-            vec = np.multiply.outer(vec, a ** exps[t, j])
-        vals += vec.ravel()
-    return vals
 
 
 def grid_sup_abs(exps, coeffs, axes):
@@ -100,15 +83,19 @@ def fiber_split(exps, coeffs, outer_axes):
 
     ``powers`` are the distinct last-column exponents, ascending, and
     ``partial[r, m]`` is ``P_r`` at point m of the product grid of
-    ``outer_axes`` (one axis per other column, C order), summed in term
-    order by ``grid_values``.
+    ``outer_axes`` (one axis per other column, C order): each term's outer
+    product of axis powers is added into its row, in term order.
     """
-    powers = np.unique(exps[:, -1])
-    rows = np.searchsorted(powers, exps[:, -1])
-    partial = np.empty((powers.size, math.prod(a.size for a in outer_axes)), np.complex128)
-    for r in range(powers.size):
-        sel = rows == r
-        partial[r] = grid_values(exps[sel, :-1], coeffs[sel], outer_axes)
+    M = math.prod(a.size for a in outer_axes)
+    if M > _GRID_LIMIT:
+        raise ValueError(f"grid of {M} points is too large; lower the resolution")
+    powers, rows = np.unique(exps[:, -1], return_inverse=True)
+    partial = np.zeros((powers.size, M), dtype=np.complex128)
+    for t in range(coeffs.size):
+        vec = np.asarray(coeffs[t])
+        for j, a in enumerate(outer_axes):
+            vec = np.multiply.outer(vec, a ** exps[t, j])
+        partial[rows[t]] += vec.ravel()
     return powers, partial
 
 

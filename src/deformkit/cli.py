@@ -414,6 +414,13 @@ _SELFTESTS = {
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on a malformed command line: bad input, exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="write the JSON report here (atomic)")
     sp.add_argument("--seed", type=int, default=None, help="deterministic seed")
@@ -436,7 +443,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deformkit",
         description="Deformation experiments on polynomial roots and zero sets",
     )
@@ -535,8 +542,11 @@ def _report_error(args, code: int, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        return _report_error(argparse.Namespace(json_errors="--json-errors" in argv), 1, exc)
 
     if args.seed is None:
         env = os.environ.get("DEFORMKIT_SEED")

@@ -591,6 +591,43 @@ def _lift_simple_roots(G: np.ndarray, z: np.ndarray):
     return W, res, bound, ok
 
 
+def _lift_order(g: JetPoly, order: int | None) -> int:
+    """``order`` (1..MAX_ORDER) capped at ``g``'s order; ``g``'s order if None."""
+    return g.order if order is None else min(_check_order(order), g.order)
+
+
+def _fiber_rows(terms, j: int, z: np.ndarray) -> np.ndarray:
+    """(R, d+1, L) coefficients in ``t_j`` at the R points ``z`` of the terms
+    ``(exponents, coefficient row of length L)``: slot k sums, in term order,
+    the rows of exponent k in ``t_j`` times their monomials in the other
+    coordinates, and a row without other coordinates enters unchanged."""
+    out = np.zeros((len(z), max(i[j] for i, _ in terms) + 1, len(terms[0][1])), complex)
+    filled = set()
+    for idx, c in terms:
+        rest = idx[:j] + (0,) + idx[j + 1 :]
+        if any(rest):
+            c = SparsePoly(len(idx), {rest: 1.0}).evaluate(z)[:, None] * c
+        k = idx[j]
+        out[:, k] = out[:, k] + c if k in filled else c
+        filled.add(k)
+    return out
+
+
+def lift_fibers(f: SparsePoly, g: JetPoly, j: int, z: np.ndarray, K: int):
+    """Lift the (R, n) points ``z`` of V(f) along their fibers in ``t_j`` to
+    points of *V(g) through ``eps**K``.  A point lifts when its fiber root is
+    simple, ``|df/dt_j| >= SIMPLE_ROOT_MIN_DERIV``: Hensel's lemma needs no
+    more.  Returns the (R,) lifted mask and, for the lifted points, the
+    lifts, residuals, bounds and flags of ``_lift_simple_roots``."""
+    C = _fiber_rows([(idx, np.array([c])) for idx, c in f.sorted_terms()], j, z)[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted = np.abs(_kernels.horner(C, z[:, j : j + 1])[1][:, 0]) >= SIMPLE_ROOT_MIN_DERIV
+    # Terms zero through eps**K drop out, as in g.truncate(K); none left gives zero rows.
+    rows = [(i, w) for i, jet in g.sorted_terms() if (w := jet._window(0, K)).any()]
+    G = _fiber_rows(rows or [((0,) * g.nvars, np.zeros(K + 1))], j, z[lifted])
+    return (lifted, *_lift_simple_roots(G, z[lifted, j]))
+
+
 def hensel_lift_root(
     f: UniPoly, zeta, g: JetPoly, order: int | None = None
 ) -> Jet | tuple[Jet, ...]:
@@ -601,7 +638,8 @@ def hensel_lift_root(
     ``w = zeta + c_1 eps + ... + c_K eps**K`` with ``c_k = -[g(w)]_k /
     st(g)'(zeta)``, where ``[g(w)]_k`` is coefficient k of one power-series
     Horner over all roots at once, taken while ``w`` stops at order k - 1.
-    The standard part of each lift is exactly its ``zeta``.
+    The standard part of each lift is exactly its ``zeta``.  This is
+    ``lift_fibers`` in one variable, where the fiber is f itself.
 
     Both certificates use the root solver's noise-floor rule, with
     ``c = _RES_FACTOR`` and u the unit roundoff.  The root test is
@@ -623,18 +661,12 @@ def hensel_lift_root(
     ArithmeticError
         If a lift residual is not finite or exceeds its rounding bound.
     """
-    K = g.order if order is None else _check_order(order)
-    g = g.truncate(min(K, g.order))
-    K = g.order
+    K = _lift_order(g, order)
     _check_st_match(f.to_sparse(), g)
     zeta = np.asarray(zeta, dtype=np.complex128)
     if zeta.ndim > 1:
         raise ValueError("zeta must be one root or a 1-D array of roots")
     z = zeta.reshape(1, -1)
-    terms = g.terms
-    G = np.zeros((1, max((i for (i,) in terms), default=0) + 1, K + 1), dtype=np.complex128)
-    for (i,), jet in terms.items():
-        G[0, i] = jet._window(0, K)
     with np.errstate(over="ignore", invalid="ignore"):
         fz, dp = _kernels.horner(f.coeffs[None, :], z)
         noise, _ = _kernels.horner(np.abs(f.coeffs)[None, :], np.abs(z))
@@ -647,15 +679,14 @@ def hensel_lift_root(
                 f"{complex(z[i])} is not a root of the base polynomial: |f| = "
                 f"{fz[i]:.3e} exceeds its rounding bound {root_bound[i]:.3e}"
             )
-        bad = np.flatnonzero(np.abs(dp) < SIMPLE_ROOT_MIN_DERIV)
-        if bad.size:
-            i = bad[0]
-            raise MultipleRootError(
-                f"|f'({complex(z[i])})| = {abs(dp[i]):.3e} is below "
-                f"{SIMPLE_ROOT_MIN_DERIV}; root is (numerically) multiple and "
-                "cannot be lifted by integer-power jets"
-            )
-    W, res, bound, ok = _lift_simple_roots(G, z)
+    lifted, W, res, bound, ok = lift_fibers(f.to_sparse(), g, 0, z[:, None], K)
+    if not lifted.all():
+        i = np.flatnonzero(~lifted)[0]
+        raise MultipleRootError(
+            f"|f'({complex(z[i])})| = {abs(dp[i]):.3e} is below "
+            f"{SIMPLE_ROOT_MIN_DERIV}; root is (numerically) multiple and "
+            "cannot be lifted by integer-power jets"
+        )
     if not ok.all():
         i, k = np.argwhere(~ok)[0]
         where = f"at order {k + 1} above the root {complex(z[i])}"

@@ -28,20 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .jets import (
-    SIMPLE_ROOT_MIN_DERIV,
-    ST_MATCH_TOL,
-    Jet,
-    JetPoly,
-    _check_order,
-    _check_st_match,
-    _lift_simple_roots,
-    st_poly,
-)
+from .jets import ST_MATCH_TOL, Jet, JetPoly, _check_st_match, _lift_order, lift_fibers, st_poly
 from .polynomials import (
     PolySystem,
     SparsePoly,
     _require_positive,
+    coeff_sup_distance,
     degree_and_support,
 )
 from .roots import solve_batch
@@ -206,19 +198,14 @@ def _deformation_precondition(
     ft, gt = f.terms, g.terms
     idxs = ft.keys() | gt.keys()
     limit = delta_bound(eps, T, max(sum(i) for i in idxs), len(idxs))
-    if f.nvars != g.nvars:
-        raise ValueError(f"variable count mismatch: {f.nvars} vs {g.nvars}")
-    worst_idx, worst = None, -1.0
-    for idx in idxs:
-        dv = abs(gt.get(idx, 0j) - ft.get(idx, 0j))
-        if dv > worst:
-            worst_idx, worst = idx, dv
-    if worst >= limit:
+    dist = coeff_sup_distance(f, g)  # raises on a variable count mismatch
+    if dist >= limit:
+        worst = max(idxs, key=lambda i: abs(gt.get(i, 0j) - ft.get(i, 0j)))
         raise ValueError(
-            f"coefficient at {worst_idx} deviates by {worst:.6g}, "
+            f"coefficient at {worst} deviates by {dist:.6g}, "
             f"not strictly below the bound {limit:.6g}"
         )
-    return limit, worst
+    return limit, dist
 
 
 def _term_arrays(p: SparsePoly):
@@ -517,38 +504,6 @@ class VarietyJetReport:
         }
 
 
-def _fibers(terms, j: int, z: np.ndarray) -> np.ndarray:
-    """(R, d+1, L) coefficients in ``t_j`` at the R points ``z`` of the terms
-    ``(exponents, coefficient row of length L)``: slot k sums, in term order,
-    the rows of exponent k in ``t_j`` times their monomials in the other
-    coordinates, and a row without other coordinates enters unchanged."""
-    out = np.zeros((len(z), max(i[j] for i, _ in terms) + 1, len(terms[0][1])), complex)
-    filled = set()
-    for idx, c in terms:
-        rest = idx[:j] + (0,) + idx[j + 1 :]
-        if any(rest):
-            c = SparsePoly(len(idx), {rest: 1.0}).evaluate(z)[:, None] * c
-        k = idx[j]
-        out[:, k] = out[:, k] + c if k in filled else c
-        filled.add(k)
-    return out
-
-
-def _fiber_lifts(f: SparsePoly, g: JetPoly, z: np.ndarray, K: int):
-    """Points of *V(g) through ``eps**K`` above the points ``z`` of V(f): the
-    root of f on each point's fiber along ``default_axis(f)``, where the
-    fiber keeps its degree and the root is simple, lifted to a root of g.
-    Returns the lifted mask, the (lifted, K+1) lifts and their certificate flags.
-    """
-    j = default_axis(f) - 1
-    C = _fibers([(idx, np.array([c])) for idx, c in f.sorted_terms()], j, z)[:, :, 0]
-    dp = _kernels.horner(C, z[:, j : j + 1])[1][:, 0]
-    lifted = (abs(C[:, -1]) >= DEGENERATE_LEAD_TOL) & (abs(dp) >= SIMPLE_ROOT_MIN_DERIV)
-    G = _fibers([(i, jet._window(0, K)) for i, jet in g.sorted_terms()], j, z[lifted])
-    W, _, _, ok = _lift_simple_roots(G, z[lifted, j])
-    return lifted, W, ok.all(axis=1)
-
-
 def variety_jet_check(
     system: PolySystem | SparsePoly,
     jet_system: Sequence[JetPoly] | JetPoly,
@@ -560,10 +515,11 @@ def variety_jet_check(
 
     Witnesses are the samples with system residual within ``tol``.  Forward:
     every ``st(g)`` is within ``threshold`` of 0 at every witness.  Backward,
-    for a single polynomial: every witness with a non-degenerate fiber and a
-    simple fiber root is lifted to a point of *V(g) (``_fiber_lifts``), and a
-    lift that fails its certificate is a failure.  Systems of two or more
-    polynomials have no fiber lift and report ``backward_checked = 0``.
+    for a single polynomial: every witness whose fiber root along
+    ``default_axis(f)`` is simple is lifted to a point of *V(g)
+    (``jets.lift_fibers``), and a lift that fails its certificate is a
+    failure.  Systems of two or more polynomials have no fiber lift and
+    report ``backward_checked = 0``.
     """
     _require_positive("tol", tol)
     F = PolySystem([system]) if isinstance(system, SparsePoly) else system
@@ -574,7 +530,7 @@ def variety_jet_check(
         _check_st_match(f, g)
     if samples.n != F.nvars:
         raise ValueError("sample cloud dimension mismatch")
-    K = min(_check_order(G[0].order if order is None else order), G[0].order)
+    K = _lift_order(G[0], order)
 
     # Slack for float rounding between evaluating f and the standard part of g.
     scale = max(1.0, float(np.abs(samples.points).max(initial=0.0)))
@@ -588,10 +544,11 @@ def variety_jet_check(
     backward_checked = backward_failures = 0
     f = F.polys[0]
     if len(F) == 1 and f.total_degree() >= 1:
+        j = default_axis(f) - 1
         for s in range(0, len(witnesses), _LIFT_BLOCK):
-            lifted, _, ok = _fiber_lifts(f, G[0], witnesses[s : s + _LIFT_BLOCK], K)
+            lifted, _, _, _, ok = lift_fibers(f, G[0], j, witnesses[s : s + _LIFT_BLOCK], K)
             backward_checked += int(lifted.sum())
-            backward_failures += int((~ok).sum())
+            backward_failures += int((~ok.all(axis=1)).sum())
 
     return VarietyJetReport(
         samples_total=len(samples),

@@ -266,6 +266,28 @@ def test_lift_divides_by_the_derivative_of_the_standard_part(files, tmp_path):
     assert rep["backward_failures"] == 0 and rep["passed"] is True
 
 
+def test_variety_checks_every_root_that_jet_lift_pairs(tmp_path):
+    # f = 1e-13 t^2 + t - 1 has a leading coefficient below the sampling
+    # rule's DEGENERATE_LEAD_TOL, but both roots are simple: jet-lift pairs
+    # both, and variety --g at those roots lifts and certifies both.
+    f = UniPoly([-1, 1, 1e-13])
+    e = Jet.eps()
+    g = JetPoly(1, {(2,): Jet.constant(1e-13), (1,): 1 + 0.3j * e, (0,): -1 + 0.2 * e})
+    fp, gp, pts = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "roots.csv"
+    fp.write_text(json.dumps(f.to_json_dict()))
+    gp.write_text(json.dumps(g.to_json_dict()))
+    pairs = run_json(["jet-lift", "--f", str(fp), "--g", str(gp)], str(tmp_path / "l.json"))
+    roots = [[complex(p["root"]["re"], p["root"]["im"])] for p in pairs["result"]["pairs"]]
+    assert len(roots) == 2
+    pts.write_text(SampleCloud(np.array(roots)).to_csv())
+    rep = run_json(
+        ["variety", "--f", str(fp), "--g", str(gp), "--points", str(pts)],
+        str(tmp_path / "v.json"),
+    )["result"]
+    assert rep["backward_checked"] == rep["witnesses"] == 2
+    assert rep["backward_failures"] == 0 and rep["passed"] is True
+
+
 def test_variety_residual_sweep(files, tmp_path):
     out = str(tmp_path / "variety.json")
     rep = run_json(
@@ -632,3 +654,47 @@ def test_console_script_entry_point(files, tmp_path):
     )
     assert proc.returncode == 0
     assert json.load(open(out))["command"] == "roots"
+
+
+# A float option and an int option of every subcommand (jet-lift has no float).
+MALFORMED_OPTIONS = {
+    "roots": ("--tol", "--seed"),
+    "align": ("--eps", "--seed"),
+    "modulus": ("--eps", "--trials"),
+    "jet-lift": (None, "--order"),
+    "lemma": ("--eps", "--grid"),
+    "contain": ("--T", "--axis"),
+    "variety": ("--tol", "--grid"),
+    "hausdorff": ("--eps", "--seed"),
+    "counterexample": ("--delta-prime", "--measure-grid"),
+}
+
+
+def test_malformed_options_cover_every_subcommand():
+    assert set(MALFORMED_OPTIONS) == set(cli_mod._SELFTESTS)
+
+
+@pytest.mark.parametrize("command", sorted(MALFORMED_OPTIONS))
+def test_malformed_command_line_is_exit_one(command, capsys):
+    float_opt, int_opt = MALFORMED_OPTIONS[command]
+    cases = [[command, int_opt, "1.5"], [command, "--bogus", "1"], ["frobnicate", command]]
+    if float_opt:
+        cases.append([command, float_opt, "abc"])
+    for argv in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("deformkit: error: ")
+        assert main(argv + ["--json-errors"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError" and error["code"] == 1
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    for argv in (["--version"], ["--help"], ["roots", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert capsys.readouterr().err == ""

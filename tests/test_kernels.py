@@ -47,6 +47,19 @@ def brute_sup(exps, coeffs, axes):
     return worst, arg
 
 
+def grid_values(exps, coeffs, axes):
+    """The product-grid evaluator that ``fiber_split`` absorbed, kept as an
+    oracle: ``sum_t coeffs[t] * prod_j x_j**exps[t, j]`` over the product
+    of ``axes``, in C order (last axis fastest), summed in term order."""
+    vals = np.zeros(math.prod(a.size for a in axes), dtype=np.complex128)
+    for t in range(coeffs.size):
+        vec = np.asarray(coeffs[t])
+        for j, a in enumerate(axes):
+            vec = np.multiply.outer(vec, a ** exps[t, j])
+        vals += vec.ravel()
+    return vals
+
+
 def test_grid_sup_matches_bruteforce():
     rng = np.random.default_rng(101)
     for _ in range(25):
@@ -115,7 +128,7 @@ def full_scan_sup(exps, coeffs, axes):
     partial = np.empty((g_last.size, outer), dtype=np.complex128)
     for r in range(g_last.size):
         sel = rows == r
-        partial[r] = _kernels.grid_values(exps[sel, :-1], coeffs[sel], outer_axes)
+        partial[r] = grid_values(exps[sel, :-1], coeffs[sel], outer_axes)
     pow_last = last[:, None] ** g_last[None, :]
     best, best_flat = (-1.0, math.nan), 0
     chunk = max(1, (1 << 20) // outer)
@@ -275,7 +288,7 @@ def per_exponent_fibers(f, j, fiber_axes):
         if other:
             exps = np.array([[idx[o] for o in other] for idx, _ in sel], dtype=np.int64)
             coeffs = np.array([c for _, c in sel], dtype=np.complex128)
-            C[:, k] = _kernels.grid_values(exps, coeffs, fiber_axes)
+            C[:, k] = grid_values(exps, coeffs, fiber_axes)
         else:
             C[:, k] = sum(c for _, c in sel)
     return C
@@ -310,7 +323,8 @@ def test_grid_evaluator_matches_pointwise_evaluation():
             terms[idx] = terms.get(idx, 0j) + c
         poly = SparsePoly(exps.shape[1], terms)
         points = np.array(list(itertools.product(*axes)), dtype=np.complex128)
-        got = _kernels.grid_values(exps, coeffs, axes)
+        powers, partial = _kernels.fiber_split(exps, coeffs, axes[:-1])
+        got = ((axes[-1][:, None] ** powers) @ partial).T.ravel()  # last axis fastest
         want = eval_at_points(poly, points)
         scale = np.abs(coeffs).sum() * max(1.0, np.abs(points).max()) ** exps.sum(axis=1).max()
         assert np.abs(got - want).max() <= 64 * EPS * scale

@@ -26,9 +26,15 @@ from deformkit import (
     variety_jet_check,
 )
 from deformkit import _kernels
-from deformkit.jets import INFINITE, hensel_lift_root, standard_part
+from deformkit.jets import (
+    INFINITE,
+    hensel_lift_root,
+    jet_align_roots,
+    lift_fibers,
+    standard_part,
+)
 from deformkit.roots import UniPoly, find_roots
-from deformkit.varieties import _fiber_lifts, _grid_points, eval_at_points
+from deformkit.varieties import _grid_points, eval_at_points
 
 
 def sp(nvars, terms):
@@ -497,7 +503,7 @@ def test_fiber_lift_of_shifted_diagonal_is_exact():
         {(1, 0): Jet.constant(1), (0, 1): Jet.constant(-1), (0, 0): Jet.eps(power=2)},
     )
     z = np.array([[w, w] for w in (0.5, -0.25 + 1j, 2j)], dtype=np.complex128)
-    lifted, W, ok = _fiber_lifts(DIAGONAL, g, z, 8)
+    lifted, W, _, _, ok = lift_fibers(DIAGONAL, g, 0, z, 8)
     assert lifted.all() and ok.all()
     want = np.zeros((3, 9), dtype=np.complex128)
     want[:, 0] = z[:, 0]
@@ -540,7 +546,7 @@ def test_jet_witnesses_univariate_crosscheck():
     zetas = np.array([z for z, _ in find_roots(f).roots])
     for K in (1, 8, 32):
         g = tail_jets(f.to_sparse(), K, rng)
-        lifted, W, ok = _fiber_lifts(f.to_sparse(), g, zetas[:, None], K)
+        lifted, W, _, _, ok = lift_fibers(f.to_sparse(), g, 0, zetas[:, None], K)
         assert lifted.all() and ok.all()
         batch = hensel_lift_root(f, zetas, g, K)
         for i, z in enumerate(zetas):
@@ -549,6 +555,17 @@ def test_jet_witnesses_univariate_crosscheck():
             assert batch[i].coeffs.tobytes() == W[i].tobytes()
         rep = variety_jet_check(f.to_sparse(), g, SampleCloud(zetas[:, None], "roots"))
         assert rep.passed and rep.backward_checked == rep.witnesses == 6
+
+
+def test_zero_jet_polynomial_lifts_nothing_and_does_not_crash():
+    # st(0) matches f = 1e-13 t1 + 1e-13 t2 within ST_MATCH_TOL; the fiber
+    # root has |f'| = 1e-13, so nothing is lifted, and g's empty term list
+    # builds no fiber rows.
+    f = sp(2, {(1, 0): 1e-13, (0, 1): 1e-13})
+    rep = variety_jet_check(f, JetPoly(2, {}), SampleCloud(np.zeros((2, 2), complex)))
+    assert rep.witnesses == 2 and rep.backward_checked == 0 and rep.passed
+    alignment = jet_align_roots(UniPoly([0, 1e-13]), JetPoly(1, {}))
+    assert alignment.pairs == () and len(alignment.skipped) == 1
 
 
 def test_overflowing_lift_is_a_counted_failure():
@@ -584,17 +601,17 @@ def test_fiber_lift_divides_by_the_derivative_of_the_standard_part():
     assert rep.backward_checked == 4 and rep.backward_failures == 0 and rep.passed
 
 
-def test_multiple_and_degenerate_fibers_are_not_checked():
-    # t1^2 t2 + t1 along t1: at t2 = 0 the fiber drops degree; at (-1, 1)
-    # the fiber root is simple.
+def test_degree_dropping_fibers_are_checked_and_multiple_roots_are_not():
+    # t1^2 t2 + t1 along t1: at t2 = 0 the fiber drops degree to t1, whose
+    # root 0 is simple, so it lifts like the simple root at (-1, 1).
     f = sp(2, {(2, 1): 1.0, (1, 0): 1.0})
     pts = np.array([[0.0, 0.0], [-1.0, 1.0]], dtype=np.complex128)
     rep = variety_jet_check(f, tail_jets(f, 8, np.random.default_rng(1)), SampleCloud(pts))
-    assert rep.witnesses == 2 and rep.backward_checked == 1 and rep.passed
+    assert rep.witnesses == 2 and rep.backward_checked == 2 and rep.passed
     # t1^2 - t2 at the origin: the fiber t1^2 has a double root.
     f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [-1j, -1.0]], dtype=np.complex128)
-    lifted, W, ok = _fiber_lifts(f, tail_jets(f, 8, np.random.default_rng(2)), pts, 8)
+    lifted, W, _, _, ok = lift_fibers(f, tail_jets(f, 8, np.random.default_rng(2)), 0, pts, 8)
     assert lifted.tolist() == [False, True, True] and W.shape == (2, 9) and ok.all()
 
 
@@ -605,8 +622,8 @@ def test_block_with_no_lifted_witness_checks_nothing(monkeypatch):
 
     f = sp(2, {(2, 0): 1.0, (0, 1): -1.0})
     g = tail_jets(f, 8, np.random.default_rng(3))
-    lifted, W, ok = _fiber_lifts(f, g, np.zeros((2, 2), dtype=np.complex128), 8)
-    assert not lifted.any() and W.shape == (0, 9) and ok.shape == (0,)
+    lifted, W, _, _, ok = lift_fibers(f, g, 0, np.zeros((2, 2), dtype=np.complex128), 8)
+    assert not lifted.any() and W.shape == (0, 9) and ok.shape == (0, 8)
     rep = variety_jet_check(f, g, SampleCloud(np.zeros((1, 2), dtype=np.complex128)))
     assert rep.witnesses == 1 and rep.backward_checked == 0 and rep.passed
     pts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
