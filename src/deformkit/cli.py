@@ -415,7 +415,12 @@ _SELFTESTS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ``ValueError`` on a malformed command line: bad input, exit 1."""
+    """Raises ``ValueError`` on a malformed command line: bad input, exit 1.
+
+    Flags must be spelled in full (``--json-errors`` is looked up verbatim)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)

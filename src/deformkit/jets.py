@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .polynomials import SparsePoly, _check_index, coeff_sup_distance
+from .polynomials import SparsePoly, _check_index, _json_complex, _json_int, coeff_sup_distance
 from .roots import UniPoly, cluster_multiplicities, find_roots
 
 __all__ = [
@@ -320,8 +320,9 @@ class Jet:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Jet":
-        coeffs = [complex(float(c["re"]), float(c["im"])) for c in data["coeffs"]]
-        return cls(int(data["min_exp"]), coeffs, int(data["order"]))
+        coeffs = [_json_complex(c) for c in data["coeffs"]]
+        min_exp = _json_int(data["min_exp"], "min_exp")
+        return cls(min_exp, coeffs, _json_int(data["order"], "order"))
 
 
 def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
@@ -477,10 +478,10 @@ class JetPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JetPoly":
-        nvars = int(data["nvars"])
-        order = int(data["order"])
+        nvars = _json_int(data["nvars"], "nvars")
+        order = _json_int(data["order"], "order")
         terms = {
-            tuple(int(e) for e in entry["exps"]): Jet.from_json_dict(entry["jet"])
+            tuple(entry["exps"]): Jet.from_json_dict(entry["jet"])
             for entry in data["terms"]
         }
         return cls(nvars, terms, order)

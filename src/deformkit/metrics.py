@@ -63,7 +63,9 @@ def _directed_sup(A: np.ndarray, B: np.ndarray) -> float:
     worst = 0.0
     for start in range(0, A.shape[0], rows):
         blk = A[start : start + rows]
-        d = np.abs(blk[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1)
+        # A difference past 1.8e308 is inf, which the report refuses (exit 2).
+        with np.errstate(over="ignore"):
+            d = np.abs(blk[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1)
         worst = max(worst, float(d.max()))
     return worst
 

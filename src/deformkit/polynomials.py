@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,8 +52,27 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is an integer (``operator.index``), else ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
+def _json_complex(entry: Mapping) -> complex:
+    """``re + i*im`` of a JSON coefficient; strings, booleans and null are refused."""
+    for key in ("re", "im"):
+        if isinstance(entry[key], (str, bool)) or entry[key] is None:
+            raise ValueError(f"{key} must be a number, got {entry[key]!r}")
+    return complex(float(entry["re"]), float(entry["im"]))
+
+
 def _check_index(exps: Sequence[int], nvars: int) -> tuple[int, ...]:
-    idx = tuple(int(e) for e in exps)
+    try:
+        idx = tuple(map(operator.index, exps))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {exps!r}") from None
     if len(idx) != nvars:
         raise ValueError(
             f"exponent tuple {idx} has length {len(idx)}, expected {nvars}"
@@ -266,7 +286,7 @@ class SparsePoly:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
         try:
-            nvars = int(data["nvars"])
+            nvars = _json_int(data["nvars"], "nvars")
             raw_terms = data["terms"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
@@ -275,7 +295,7 @@ class SparsePoly:
             idx = _check_index(entry["exps"], nvars)
             if idx in terms:
                 raise ValueError(f"duplicate exponent tuple {idx}")
-            terms[idx] = complex(float(entry["re"]), float(entry["im"]))
+            terms[idx] = _json_complex(entry)
         return cls(nvars, terms)
 
     def to_json(self) -> str:

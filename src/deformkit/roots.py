@@ -181,7 +181,9 @@ def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
 
     Returns ``(roots (B, m), residuals (B, m), converged (B,))``.  Rows are
     independent: each row's values are those of its one-row solve.  A row
-    whose roots or residuals are not all finite counts as unconverged.
+    whose roots or residuals are not all finite counts as unconverged, and so
+    does a row holding two equal roots: two iterates that collided certify
+    one root twice and miss another.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     z0 = _initial_points_batch(coeffs)
@@ -191,6 +193,8 @@ def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
         roots, _, converged = _kernels.aberth_batch(coeffs, z0, tol, MAX_SWEEPS)
         roots, res = _polish_batch(coeffs, roots)
     converged &= np.isfinite(roots).all(axis=1) & np.isfinite(res).all(axis=1)
+    ordered = np.sort(roots, axis=1)
+    converged &= ~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     return roots, res, converged
 
 
@@ -207,7 +211,7 @@ def _certify_row(
     if not converged:
         why = "has a residual bound that is not finite"
         if math.isfinite(residual_bound):
-            why = f"did not converge within {MAX_SWEEPS} sweeps"
+            why = f"did not converge to {len(roots)} distinct roots within {MAX_SWEEPS} sweeps"
             why += f" (residual {residual_bound:.3e})"
         raise RootConvergenceError(
             f"root iteration {why}",

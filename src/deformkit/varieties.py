@@ -20,7 +20,6 @@ as in ``lemma_check``'s grid supremum and solved in one batched sweep.
 from __future__ import annotations
 
 import cmath
-import csv
 import io
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -140,18 +139,19 @@ class SampleCloud:
 
     @classmethod
     def from_csv(cls, text: str, label: str = "") -> "SampleCloud":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
+        first, _, body = text.partition("\n")
+        header = first.strip().split(",")
+        if header == [""]:
             raise ValueError("empty CSV")
-        header = rows[0]
-        if len(header) % 2 or not header or header[0] != "re_1":
+        if len(header) % 2 or header[0] != "re_1":
             raise ValueError(f"unexpected CSV header {header!r}")
-        n = len(header) // 2
-        body = [row for row in rows[1:] if row]
-        for row in body:
-            if len(row) != 2 * n:
-                raise ValueError(f"row of width {len(row)}, expected {2 * n}")
-        flat = np.array(body, dtype=np.float64).reshape(len(body), 2 * n)
+        flat = np.empty((0, len(header)))
+        if body.strip("\r\n"):  # loadtxt warns on input without rows
+            flat = np.loadtxt(
+                io.StringIO(body), delimiter=",", ndmin=2, comments=None, quotechar='"'
+            )
+        if flat.shape[1] != len(header):
+            raise ValueError(f"row of width {flat.shape[1]}, expected {len(header)}")
         return cls(flat.view(np.complex128), label=label)
 
 

@@ -1,6 +1,9 @@
 """CLI wiring: reports, determinism, exit codes, selftests."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import deformkit
 from deformkit import Jet, JetPoly, SampleCloud, SparsePoly, UniPoly
@@ -698,3 +703,150 @@ def test_help_and_version_still_exit_zero(capsys):
             main(argv)
         assert exc.value.code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_abbreviated_flags_are_refused(files, capsys):
+    # Only the full spelling counts: a prefix such as --json is an unknown
+    # argument, so the error line is plain whatever else is wrong.
+    nope = files["dir"] + "/nope.json"
+    for argv, why in (
+        (["roots", "--poly", nope, "--json"], "unrecognized arguments: --json"),
+        (["roots", "--tol", "abc", "--json"], "invalid float value: 'abc'"),
+        (["roots", "--pol", files["f1.json"]], "unrecognized arguments: --pol"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("deformkit: error: ") and why in captured.err
+    for argv in (["roots", "--poly", nope, "--json-errors"],
+                 ["roots", "--tol", "abc", "--json-errors"]):
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 1
+
+
+def test_collided_root_iterates_are_exit_two(files, monkeypatch, capsys):
+    from deformkit import roots as roots_mod
+
+    original = roots_mod._initial_points_batch
+
+    def collided(coeffs):
+        z0 = original(coeffs).copy()
+        z0[:, 1] = z0[:, 0]
+        return z0
+
+    monkeypatch.setattr(roots_mod, "_initial_points_batch", collided)
+    assert main(["roots", "--poly", files["f1.json"], "--json-errors"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "RootConvergenceError"
+
+
+@pytest.mark.parametrize(
+    "mangle, field",
+    [
+        (lambda d: d["terms"][1].update(exps=[2.7]), "exponents"),
+        (lambda d: d["terms"][1].update(exps=["2"]), "exponents"),
+        (lambda d: d.update(nvars=1.9), "nvars"),
+        (lambda d: d.update(nvars="1"), "nvars"),
+        (lambda d: d["terms"][0].update(re="2.5"), "re"),
+        (lambda d: d["terms"][0].update(im=True), "im"),
+        (lambda d: d["terms"][0].update(im=None), "im"),
+    ],
+)
+def test_polynomial_json_needs_integers_and_numbers(mangle, field, tmp_path, capsys):
+    # Before, [2.7] was read as the exponent 2 and t^2 - 1 solved with exit 0.
+    data = UniPoly([-1, 0, 1]).to_json_dict()
+    mangle(data)
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps(data))
+    assert main(["roots", "--poly", str(poly)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"deformkit: error: {field} must be")
+
+
+@pytest.mark.parametrize(
+    "mangle, field",
+    [
+        (lambda d: d.update(order=8.0), "order"),
+        (lambda d: d.update(nvars=1.0), "nvars"),
+        (lambda d: d["terms"][0].update(exps=[2.0]), "exponents"),
+        (lambda d: d["terms"][0]["jet"].update(min_exp=0.5), "min_exp"),
+        (lambda d: d["terms"][0]["jet"].update(order="8"), "order"),
+        (lambda d: d["terms"][0]["jet"]["coeffs"][0].update(re="1"), "re"),
+        (lambda d: d["terms"][0]["jet"]["coeffs"][0].update(im=False), "im"),
+    ],
+)
+def test_jet_json_needs_integers_and_numbers(mangle, field, files, tmp_path, capsys):
+    data = json.load(open(files["gjet.json"]))
+    mangle(data)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        JetPoly.from_json_dict(data)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(data))
+    assert main(["jet-lift", "--f", files["f1.json"], "--g", str(g)]) == 1
+    assert capsys.readouterr().err.startswith(f"deformkit: error: {field} must be")
+
+
+# -- cloud input fuzz --------------------------------------------------------------
+
+
+@st.composite
+def cloud_texts(draw):
+    """A valid cloud CSV, a mangled one, or arbitrary text."""
+    n = draw(st.integers(1, 3))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(values, min_size=2 * n, max_size=2 * n), max_size=6))
+    flat = np.array(rows, dtype=np.float64).reshape(-1, 2 * n)
+    text = SampleCloud(flat.view(np.complex128)).to_csv()
+    pieces = [",", "#", '"', " ", "\n", "\r\n", "x", "e", "-", ".", "nan", "inf", "1e999", "re_1"]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(pieces)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return draw(st.one_of(st.just(text), st.text(max_size=40)))
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a stray stderr line
+            rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(rc, out, err, json_errors):
+    """Exit 0 with a strict-JSON report, or one error line on stderr."""
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err == ""
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in report"))
+        return
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    if json_errors:
+        error = json.loads(err)["error"]
+        assert error["code"] == rc
+    else:
+        assert err.startswith("deformkit: error: ")
+    # Exit 2 only for a distance or residual that overflows the report.
+    assert rc == 1 or "not JSON compliant" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=cloud_texts(), z=cloud_texts(), json_errors=st.booleans())
+# The distance overflows: exit 2, and no NumPy warning beside the error line.
+@example(w="re_1,im_1\n0.0,1.7e308\n", z="re_1,im_1\n0.0,-1e308\n", json_errors=True)
+def test_cloud_inputs_never_crash(w, z, json_errors, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    W, Z, poly = folder / "W.csv", folder / "Z.csv", folder / "f.json"
+    W.write_bytes(w.encode("utf-8", "surrogatepass"))  # lone surrogates: invalid UTF-8
+    Z.write_bytes(z.encode("utf-8", "surrogatepass"))
+    poly.write_text(json.dumps(SparsePoly(2, {(1, 0): 1.0, (0, 1): -1.0}).to_json_dict()))
+    flag = ["--json-errors"] if json_errors else []
+    for argv in (
+        ["hausdorff", "--W", str(W), "--Z", str(Z), "--eps", "0.1"],
+        ["variety", "--f", str(poly), "--points", str(W), "--eps", "0.1"],
+    ):
+        assert_clean_exit(*run_captured(argv + flag), json_errors)

@@ -111,6 +111,49 @@ def test_convergence_error_carries_iterate(monkeypatch):
     assert exc.value.residual > 0
 
 
+
+def collide_iterates_3_and_0(monkeypatch):
+    from deformkit import roots as roots_mod
+
+    original = roots_mod._initial_points_batch
+
+    def collided(coeffs):
+        z0 = original(coeffs).copy()
+        z0[:, 3] = z0[:, 0]
+        return z0
+
+    monkeypatch.setattr(roots_mod, "_initial_points_batch", collided)
+
+
+def test_collided_iterates_do_not_certify_a_root_twice(monkeypatch):
+    # Two iterates started on one point move together: the row lists one
+    # root twice, misses another, and its residual is still tiny.
+    rng = np.random.default_rng(0)
+    coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
+    collide_iterates_3_and_0(monkeypatch)
+    roots, res, converged = solve_batch(coeffs[None, :])
+    assert np.max(res) < 1e-12
+    assert not converged[0]
+    with pytest.raises(RootConvergenceError, match="10 distinct roots") as exc:
+        find_roots(UniPoly(coeffs))
+    assert len(exc.value.best_roots) == 10
+
+
+def test_multiple_roots_never_come_out_equal():
+    # Exact multiple roots are found as distinct nearby values, so the
+    # equal-roots rule does not refuse them.
+    rows = []
+    for k in range(1, 33):
+        rows += [expand_ascending(1.0, [0.0] * k), expand_ascending(1.0, [0.3 + 0.7j] * k),
+                 expand_ascending(1.0, [-2.5] * k)]
+        if k < 32:
+            rows.append(expand_ascending(1.0, [0.0] * k + [1.0]))
+    for coeffs in rows:
+        roots, _, _ = solve_batch(coeffs[None, :])
+        ordered = np.sort(roots[0])
+        assert not (ordered[1:] == ordered[:-1]).any(), len(coeffs) - 1
+
+
 # -- multiplicity clustering -------------------------------------------------------
 
 

@@ -3,9 +3,13 @@
 import csv
 import io
 import itertools
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformkit import (
     Hypercube,
@@ -782,3 +786,56 @@ def test_cloud_rejects_non_finite_points(bad):
 def test_cloud_csv_rejects_bad_width():
     with pytest.raises(ValueError):
         SampleCloud.from_csv("re_1,im_1\n1.0,2.0,3.0\n")
+
+
+# Every finite float64, drawn by bit pattern, plus the edge values named.
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def bit_pattern_double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+finite_doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(bit_pattern_double),
+    st.sampled_from(EDGE_DOUBLES + [-x for x in EDGE_DOUBLES]),
+).filter(np.isfinite)
+
+
+@st.composite
+def flat_clouds(draw):
+    """(rows, 2n) float64 arrays, n in 1..3, 0..50 rows."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(finite_doubles, min_size=2 * n, max_size=2 * n), max_size=50))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 2 * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_clouds())
+def test_cloud_csv_round_trip_is_bit_exact(flat):
+    cloud = SampleCloud(flat.view(np.complex128))
+    back = SampleCloud.from_csv(cloud.to_csv())
+    assert back.points.shape == cloud.points.shape
+    assert back.points.tobytes() == cloud.points.tobytes()
+
+
+def test_cloud_csv_reader_cases():
+    expected = np.array([[1.5 - 2j], [0.25 + 0j]])
+    crlf = SampleCloud.from_csv("re_1,im_1\r\n1.5,-2.0\r\n0.25,0.0\r\n")
+    quoted = SampleCloud.from_csv('re_1,im_1\n"1.5",-2.0\n0.25,"0.0"\n')
+    for cloud in (crlf, quoted):
+        assert cloud.points.tobytes() == expected.tobytes()
+    # '#' is not a comment: a row holding one is malformed, not shortened.
+    for text in ("re_1,im_1\n1.5,-2.0 # note\n", "re_1,im_1\n# note\n1.5,-2.0\n"):
+        with pytest.raises(ValueError):
+            SampleCloud.from_csv(text)
+    with pytest.raises(ValueError, match="row of width 4, expected 2"):
+        SampleCloud.from_csv("re_1,im_1\n1,2,3,4\n")
+
+
+@pytest.mark.parametrize("text", ["re_1,im_1", "re_1,im_1\n", "re_1,im_1\r\n\r\n\n"])
+def test_header_only_cloud_reads_without_a_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cloud = SampleCloud.from_csv(text)
+    assert cloud.points.shape == (0, 1)
