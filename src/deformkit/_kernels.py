@@ -210,15 +210,24 @@ def horner(coeffs, z):
     """Values ``p`` and derivatives ``dp`` of a batch of polynomials.
 
     ``coeffs`` is (B, m+1) with ascending coefficients (index = power) and
-    ``z`` is (B, k); row b of ``z`` is evaluated with row b of ``coeffs``.
-    Returns two complex (B, k) arrays.
+    ``z`` is (B, k); row b of ``z`` is evaluated with row b of ``coeffs``
+    (one shared row broadcasts).  Returns two (B, k) arrays.
+
+    Each step writes a product into one scratch array and its sum into
+    ``p`` or ``dp``; no ufunc reads the array it writes, since in-place
+    ``dp *= z`` gave different bits for one row than inside a batch.
     """
     deg = coeffs.shape[1] - 1
-    p = np.broadcast_to(coeffs[:, deg : deg + 1], z.shape).copy()
-    dp = np.zeros_like(z)
+    dtype = np.result_type(coeffs, z)
+    p = np.empty(z.shape, dtype)
+    p[...] = coeffs[:, deg : deg + 1]
+    dp = np.zeros(z.shape, dtype)
+    tmp = np.empty(z.shape, dtype)
     for k in range(deg - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs[:, k : k + 1]
+        np.multiply(dp, z, out=tmp)
+        np.add(tmp, p, out=dp)
+        np.multiply(p, z, out=tmp)
+        np.add(tmp, coeffs[:, k : k + 1], out=p)
     return p, dp
 
 

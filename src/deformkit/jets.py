@@ -27,6 +27,7 @@ guessed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -358,7 +359,7 @@ class JetPoly:
     __slots__ = ("_nvars", "_terms", "_order")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], Jet], order: int = DEFAULT_ORDER):
-        nvars = int(nvars)
+        nvars = operator.index(nvars)
         if nvars < 1:
             raise ValueError(f"nvars must be >= 1, got {nvars}")
         order = _check_order(order)
@@ -480,10 +481,12 @@ class JetPoly:
     def from_json_dict(cls, data: Mapping) -> "JetPoly":
         nvars = _json_int(data["nvars"], "nvars")
         order = _json_int(data["order"], "order")
-        terms = {
-            tuple(entry["exps"]): Jet.from_json_dict(entry["jet"])
-            for entry in data["terms"]
-        }
+        terms: dict[tuple[int, ...], Jet] = {}
+        for entry in data["terms"]:
+            idx = _check_index(entry["exps"], nvars)
+            if idx in terms:
+                raise ValueError(f"duplicate exponent tuple {idx}")
+            terms[idx] = Jet.from_json_dict(entry["jet"])
         return cls(nvars, terms, order)
 
 

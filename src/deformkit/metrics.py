@@ -50,23 +50,87 @@ def point_set_distance(w: Sequence[complex], Z: SampleCloud) -> float:
 
 # The most complex differences ``_directed_sup`` holds at once.
 MAX_BLOCK_DIFFS = 1 << 20
+# ``_directed_sup`` scans pairs of clouds with at most this many point pairs
+# in full: below it the cell bounds cost more than they save.
+_FULL_SCAN_PAIRS = 4096
+# Rows per block of the pruned scan: the stop test runs between blocks.
+_PRUNED_BLOCK_ROWS = 16
+
+
+def _row_dists(blk: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Min sup-norm distance from each row of ``blk`` to the rows of ``B``."""
+    # A difference past 1.8e308 is inf, which the report refuses (exit 2).
+    with np.errstate(over="ignore"):
+        return np.abs(blk[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1)
+
+
+def _cell_bounds(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """Per row ``a`` of ``A``, the computed sup-norm distance to a row of ``B``
+    that shares a cell with it (inf without one), or None when a real
+    coordinate's span is not finite.
+
+    Three hash grids of 32 cells per real-coordinate span, shifted by
+    thirds of a cell, each pair ``a`` with one row of ``B`` in its cell;
+    the bound is the least of the three distances.  Each is the elementwise
+    expression of ``_row_dists``, so it has the same bits as that pair's
+    distance there, and bounds ``a``'s computed minimum.
+    """
+    X = np.concatenate([A, B]).view(np.float64)
+    lo = X.min(axis=0)
+    with np.errstate(over="ignore"):
+        width = (X.max(axis=0) - lo) / 32
+    if not np.isfinite(width).all():
+        return None
+    width[width == 0] = 1.0
+    scaled = (X - lo) / width
+    # A cell row (entries 0..32) as one base-34 integer; past 6 complex
+    # coordinates it wraps, which merges cells and only weakens the bounds.
+    radix = 34 ** np.arange(X.shape[1], dtype=np.int64)
+    u = np.full(A.shape[0], np.inf)
+    for shift in (0.0, 1 / 3, 2 / 3):
+        key = np.floor(scaled + shift).astype(np.int64) @ radix
+        _, cell = np.unique(key, return_inverse=True)
+        mate = np.full(cell.max() + 1, -1)
+        mate[cell[A.shape[0]:]] = np.arange(B.shape[0])
+        mate = mate[cell[: A.shape[0]]]
+        has = np.flatnonzero(mate >= 0)
+        with np.errstate(over="ignore"):
+            d = np.abs(A[has] - B[mate[has]]).max(axis=1)
+        u[has] = np.minimum(u[has], d)
+    return u
 
 
 def _directed_sup(A: np.ndarray, B: np.ndarray) -> float:
     """Max over rows of ``A`` of the min sup-norm distance to the rows of ``B``.
 
-    ``A`` is scanned in blocks of rows sized so that a block's differences
-    against all of ``B`` stay within ``MAX_BLOCK_DIFFS`` (a block is one row
-    when ``B`` alone exceeds it).
+    Exact, but evaluates only the rows of ``A`` that can raise the maximum:
+    each row's cell bound ``u`` (``_cell_bounds``) is a computed distance to
+    one row of ``B``, so its minimum over ``B`` is at most ``u``.  Rows go in
+    descending ``u``, and the scan stops once ``u`` is at most the running
+    maximum, which is itself a computed distance.  The worst case still
+    evaluates every pair.  Clouds with at most ``_FULL_SCAN_PAIRS`` point
+    pairs, or with a coordinate span that is not finite, are scanned in full.
+
+    Rows are scanned in blocks sized so that a block's differences against
+    all of ``B`` stay within ``MAX_BLOCK_DIFFS`` (a block is one row when
+    ``B`` alone exceeds it).
     """
     rows = max(1, MAX_BLOCK_DIFFS // max(1, B.shape[0] * B.shape[1]))
+    u = None
+    if A.shape[0] * B.shape[0] > _FULL_SCAN_PAIRS:
+        u = _cell_bounds(A, B)
+    if u is None:
+        order, u = np.arange(A.shape[0]), np.full(A.shape[0], np.inf)
+    else:
+        order = np.argsort(-u, kind="stable")
+        u = u[order]
+        rows = min(rows, _PRUNED_BLOCK_ROWS)
     worst = 0.0
     for start in range(0, A.shape[0], rows):
-        blk = A[start : start + rows]
-        # A difference past 1.8e308 is inf, which the report refuses (exit 2).
-        with np.errstate(over="ignore"):
-            d = np.abs(blk[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1)
-        worst = max(worst, float(d.max()))
+        stop = start + int(np.count_nonzero(u[start : start + rows] > worst))
+        if stop == start:
+            break
+        worst = max(worst, float(_row_dists(A[order[start:stop]], B).max()))
     return worst
 
 

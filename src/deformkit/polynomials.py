@@ -97,7 +97,7 @@ class SparsePoly:
     __slots__ = ("_nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], complex] | None = None):
-        nvars = int(nvars)
+        nvars = operator.index(nvars)
         if nvars < 1:
             raise ValueError(f"nvars must be >= 1, got {nvars}")
         clean: dict[tuple[int, ...], complex] = {}

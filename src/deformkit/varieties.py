@@ -131,11 +131,12 @@ class SampleCloud:
 
     def to_csv(self) -> str:
         """Header ``re_1,im_1,...`` then one row per point, each float by
-        ``repr`` so that ``from_csv`` reads back the same bits."""
+        ``repr`` so that ``from_csv`` reads back the same bits (see
+        ``_repr_column``)."""
         header = ",".join(f"{part}_{j + 1}" for j in range(self.n) for part in ("re", "im"))
         flat = np.ascontiguousarray(self.points).view(np.float64)
-        rows = flat.reshape(len(self), 2 * self.n).tolist()
-        return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+        cols = [_repr_column(col) for col in flat.reshape(len(self), 2 * self.n).T]
+        return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, label: str = "") -> "SampleCloud":
@@ -153,6 +154,22 @@ class SampleCloud:
         if flat.shape[1] != len(header):
             raise ValueError(f"row of width {flat.shape[1]}, expected {len(header)}")
         return cls(flat.view(np.complex128), label=label)
+
+
+def _repr_column(col: np.ndarray) -> list[str]:
+    """``repr`` of each float of ``col``.
+
+    A column of 64 or more rows with at most half its bit patterns distinct
+    (a grid coordinate of a sampled zero set) formats each pattern once;
+    keying on bits keeps ``0.0`` and ``-0.0`` apart.  On fewer rows
+    ``np.unique`` costs more than the formatting it saves.
+    """
+    if col.size >= 64:
+        bits, where = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * bits.size <= col.size:
+            text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+            return text[where].tolist()
+    return list(map(repr, col.tolist()))
 
 
 # -- pointwise membership and the quantitative bound -------------------------

@@ -787,6 +787,15 @@ def test_jet_json_needs_integers_and_numbers(mangle, field, files, tmp_path, cap
     assert capsys.readouterr().err.startswith(f"deformkit: error: {field} must be")
 
 
+def test_jet_lift_refuses_a_duplicate_exponent_tuple(files, tmp_path, capsys):
+    data = json.load(open(files["gjet.json"]))
+    data["terms"].append({"exps": [2], "jet": Jet.constant(5).to_json_dict()})
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(data))
+    assert main(["jet-lift", "--f", files["f1.json"], "--g", str(g)]) == 1
+    assert capsys.readouterr().err.startswith("deformkit: error: duplicate exponent tuple")
+
+
 # -- cloud input fuzz --------------------------------------------------------------
 
 

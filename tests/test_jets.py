@@ -262,6 +262,19 @@ def test_jet_json_round_trip():
     assert JetPoly.from_json_dict(g.to_json_dict()) == g
 
 
+def test_jet_json_rejects_a_duplicate_exponent_tuple():
+    data = JetPoly(1, {(2,): jet(1), (0,): jet(-1)}).to_json_dict()
+    data["terms"].append({"exps": [2], "jet": jet(5).to_json_dict()})
+    with pytest.raises(ValueError, match="duplicate exponent tuple"):
+        JetPoly.from_json_dict(data)
+
+
+def test_jetpoly_rejects_a_non_integral_nvars():
+    with pytest.raises(TypeError):
+        JetPoly(1.9, {(2,): jet(1)})
+    assert JetPoly(np.int64(1), {(2,): jet(1)}).nvars == 1
+
+
 # -- lifting ---------------------------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformkit import metrics as metrics_mod
 from deformkit.varieties import complex_grid_axis
@@ -19,6 +21,7 @@ from deformkit import (
     point_set_distance,
     sup_norm_dist,
 )
+from deformkit.cli import main
 
 
 def cloud(rows):
@@ -267,6 +270,91 @@ def test_hausdorff_blocks_match_bruteforce(monkeypatch):
     assert hausdorff(W, Z) == want
     for w in W.points[:5]:
         assert point_set_distance(w, Z) == float(np.abs(Z.points - w).max(axis=1).min())
+
+
+def brute_directed(A, B):
+    return float(np.abs(A[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1).max())
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two clouds in C^n: random, a shifted copy, lattice points full of
+    duplicates and tied distances, one point against many, or two clouds
+    apart so that no point has a cell-mate."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "shifted", "ties", "one_point", "apart"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = draw(st.integers(1, 150)), draw(st.integers(1, 150))
+
+    def pts(k, scale=1.0):
+        return scale * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+
+    if kind == "random":
+        W, Z = pts(a), pts(b)
+    elif kind == "shifted":
+        W = pts(a)
+        Z = W + pts(1, 10.0 ** draw(st.integers(-12, 0)))
+    elif kind == "ties":
+        W = 0.5 * (rng.integers(-2, 3, (a, n)) + 1j * rng.integers(-2, 3, (a, n)))
+        Z = 0.5 * (rng.integers(-2, 3, (b, n)) + 1j * rng.integers(-2, 3, (b, n)))
+    elif kind == "one_point":
+        W, Z = pts(1), pts(b)
+    else:
+        W, Z = pts(a), pts(b) + 100.0
+    return (W, Z) if draw(st.booleans()) else (Z, W)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud_pairs())
+def test_pruned_hausdorff_equals_all_pairs_bit_for_bit(pair):
+    W, Z = pair
+    want = brute_hausdorff(W, Z)
+    assert hausdorff(cloud(W), cloud(Z)) == want
+    # Each finite cell bound is one of the row's computed distances.
+    u = metrics_mod._cell_bounds(W, Z)
+    fin = np.isfinite(u)
+    d = np.abs(W[:, None, :] - Z[None, :, :]).max(axis=2)
+    assert (d[fin] == u[fin, None]).any(axis=1).all()
+    # Small pairs are scanned in full; without that rule every pair is pruned.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics_mod, "_FULL_SCAN_PAIRS", 0)
+        assert metrics_mod._directed_sup(W, Z) == brute_directed(W, Z)
+        assert metrics_mod._directed_sup(Z, W) == brute_directed(Z, W)
+        assert hausdorff(cloud(W), cloud(Z)) == want
+
+
+def test_pruning_evaluates_few_rows_of_a_shifted_copy(monkeypatch):
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(600, 2)) + 1j * rng.normal(size=(600, 2))
+    Z = W + 1e-3 * (1 - 2j)
+    rows = []
+    row_dists = metrics_mod._row_dists
+
+    def counted(blk, B):
+        rows.append(blk.shape[0])
+        return row_dists(blk, B)
+
+    monkeypatch.setattr(metrics_mod, "_row_dists", counted)
+    assert hausdorff(cloud(W), cloud(Z)) == brute_hausdorff(W, Z)
+    # Both directions hold 1,200 rows; the cell bounds rule out all but a few.
+    assert 0 < sum(rows) <= 64
+
+
+@pytest.mark.parametrize("span_finite", [False, True])
+def test_overflowing_distances_give_inf_and_exit_two(span_finite, tmp_path):
+    # Past 1.8e308 a real-coordinate span is inf and the pair is scanned in
+    # full; below it, re and im differences of 1.6e308 still overflow |.|.
+    rng = np.random.default_rng(3)
+    noise = 1e300 * (rng.normal(size=(80, 1)) + 1j * rng.normal(size=(80, 1)))
+    far = 1e308 if not span_finite else 0.8e308 * (1 + 1j)
+    W, Z = far + noise, -far + noise[::-1]
+    with np.errstate(over="ignore"):
+        assert np.isinf(brute_hausdorff(W, Z))
+    assert hausdorff(cloud(W), cloud(Z)) == np.inf
+    wp, zp = tmp_path / "W.csv", tmp_path / "Z.csv"
+    wp.write_text(cloud(W).to_csv())
+    zp.write_text(cloud(Z).to_csv())
+    assert main(["hausdorff", "--W", str(wp), "--Z", str(zp)]) == 2
 
 
 def test_hausdorff_dimension_mismatch():

@@ -266,6 +266,15 @@ def test_duplicate_indices_rejected():
         )
 
 
+def test_non_integral_nvars_rejected():
+    with pytest.raises(TypeError):
+        SparsePoly(1.9, {(2,): 1.0})
+    with pytest.raises(TypeError):
+        SparsePoly(np.float64(2.0))
+    p = SparsePoly(np.int64(2), {(1, 0): 1.0})
+    assert p.nvars == 2 and type(p.nvars) is int
+
+
 def test_wrong_length_index_rejected():
     with pytest.raises(ValueError):
         sp(2, {(1,): 1.0})

@@ -761,6 +761,25 @@ def test_cloud_csv_bytes_match_the_loop_writer(n):
     assert back.points.tobytes() == cloud.points.tobytes()
 
 
+def test_cloud_csv_formats_repeated_grid_values_once_by_bits():
+    # Grid columns repeat a few values, signed zeros among them, so each is
+    # formatted once per bit pattern; the last column is all distinct.
+    rng = np.random.default_rng(4)
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 21), [-0.0, 0.0, 5e-324, -5e-324]])
+    rows = 300
+    re = rng.choice(grid, size=(rows, 3))
+    im = rng.choice(grid, size=(rows, 3))
+    re[:, 2] = rng.normal(size=rows)
+    im[:, 2] = rng.normal(size=rows) * 1e-300
+    cloud = SampleCloud(re + 1j * im)
+    zeros = cloud.points.real[:, :2] == 0
+    assert (zeros & np.signbit(cloud.points.real[:, :2])).any() and (zeros & ~np.signbit(cloud.points.real[:, :2])).any()
+    text = cloud.to_csv()
+    assert text == loop_writer_csv(cloud)
+    assert "-0.0" in text and ",0.0," in text
+    assert SampleCloud.from_csv(text).points.tobytes() == cloud.points.tobytes()
+
+
 def test_cloud_csv_empty_and_header_only():
     empty = SampleCloud(np.zeros((0, 2), dtype=np.complex128))
     assert empty.to_csv() == loop_writer_csv(empty) == "re_1,im_1,re_2,im_2\n"
