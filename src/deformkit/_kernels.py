@@ -18,6 +18,9 @@ _HUGE = float(np.finfo(np.float64).max) / 4
 # Residual lock: accept a root once |p(z)| is below this multiple of the
 # evaluation noise floor sum_k |a_k| |z|^k * eps.
 _RES_FACTOR = 100.0
+# The "is zero" rule of the residual lock (Higham 2002, §5.1): a value passes
+# when it is at most this multiple of its rounding scale.
+_ZERO_TOL = _RES_FACTOR * _EPS
 # Max number of grid points materialized at once by grid_sup_abs.
 _OUTER_LIMIT = 1 << 21
 # Per-block value count: ~16 MB of complex128 keeps the gemm/abs passes in cache.
@@ -77,6 +80,12 @@ def _sup_recurse(exps, coeffs, axes, best):
     return _sup_gemm(exps, coeffs, axes, best)
 
 
+def check_grid_size(M):
+    """Refuse, as bad input, a grid of more than ``_GRID_LIMIT`` points."""
+    if M > _GRID_LIMIT:
+        raise ValueError(f"grid of {M} points is too large; lower the resolution")
+
+
 def fiber_split(exps, coeffs, outer_axes):
     """Split ``h = sum_t coeffs[t] * prod_j x_j**exps[t, j]`` by the powers
     of its last variable z: ``h = sum_r P_r * z**powers[r]``.
@@ -87,8 +96,7 @@ def fiber_split(exps, coeffs, outer_axes):
     product of axis powers is added into its row, in term order.
     """
     M = math.prod(a.size for a in outer_axes)
-    if M > _GRID_LIMIT:
-        raise ValueError(f"grid of {M} points is too large; lower the resolution")
+    check_grid_size(M)
     powers, rows = np.unique(exps[:, -1], return_inverse=True)
     partial = np.zeros((powers.size, M), dtype=np.complex128)
     for t in range(coeffs.size):
@@ -285,7 +293,7 @@ def aberth_batch(coeffs, z0, tol, max_sweeps):
         for k in range(m - 1, -1, -1):
             s = s * az + aa[:, k : k + 1]
 
-        res_lock = ~lc & (np.abs(p) <= _RES_FACTOR * _EPS * s)
+        res_lock = ~lc & (np.abs(p) <= _ZERO_TOL * s)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # sum_{j != i, z_j != z_i} 1 / (z_i - z_j); the diagonal is

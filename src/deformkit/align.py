@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import _require_positive
+from .polynomials import _STRICT, _require_positive
 from .roots import (
     RootConvergenceError,
     RootMultiset,
@@ -137,11 +137,11 @@ def _unit_noise(n_coeffs: int, seed: int, trial: int) -> np.ndarray:
 
 def _deform(f: UniPoly, noise: np.ndarray, delta: float) -> np.ndarray:
     """Coefficient rows ``f + eta``, one per row of ``noise`` (``(trials,
-    degree + 1)``), with ``eta = noise * delta * (1 - 1e-9)``."""
-    eta = noise * (delta * (1.0 - 1e-9))
+    degree + 1)``), with ``eta = noise * delta * _STRICT``."""
+    eta = noise * (delta * _STRICT)
     # Cap the leading perturbation so the degree cannot drop.
     lead = abs(f.coeffs[-1])
-    cap = min(1.0, 0.5 * lead / (delta * (1.0 - 1e-9)))
+    cap = min(1.0, 0.5 * lead / (delta * _STRICT))
     eta[..., -1] *= cap
     return f.coeffs + eta
 

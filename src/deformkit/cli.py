@@ -38,7 +38,7 @@ from .metrics import (
     point_set_distance,
     sup_norm_dist,
 )
-from .polynomials import PolySystem, SparsePoly, _require_positive
+from .polynomials import PolySystem, SparsePoly, _json_cnum, _require_positive
 from .roots import (
     RootConvergenceError,
     UniPoly,
@@ -50,7 +50,6 @@ from .roots import (
 from .varieties import (
     SampleCloud,
     containment_check,
-    default_axis,
     delta_bound,
     lemma_check,
     sample_hypersurface,
@@ -61,34 +60,14 @@ from .varieties import (
 
 DEFAULT_SEED = 1729
 
-_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
-_NUMERIC_ERRORS = (
-    RootConvergenceError,
-    ArithmeticError,
-    ZeroDivisionError,
-    FloatingPointError,
-)
+_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+_NUMERIC_ERRORS = (RootConvergenceError, ArithmeticError)
 
 
-def _cnum(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _load_json(path: str) -> dict:
+def _load(cls, path: str):
+    """A ``cls`` (``SparsePoly``, ``UniPoly`` or ``JetPoly``) from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _load_poly(path: str) -> SparsePoly:
-    return SparsePoly.from_json_dict(_load_json(path))
-
-
-def _load_unipoly(path: str) -> UniPoly:
-    return UniPoly.from_json_dict(_load_json(path))
-
-
-def _load_jetpoly(path: str) -> JetPoly:
-    return JetPoly.from_json_dict(_load_json(path))
+        return cls.from_json_dict(json.load(fh))
 
 
 def _load_cloud(path: str) -> SampleCloud:
@@ -124,10 +103,13 @@ def _require(args, *names: str) -> None:
 
 
 def _require_finite(args) -> None:
-    """Reject a NaN or an infinity in any float option (``--eps``, ``--T``, ...)."""
+    """Reject a NaN or an infinity in any float option (``--eps``, ``--T``, ...),
+    and an ``--eps`` that is not positive."""
     for name, value in sorted(vars(args).items()):
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "eps", None) is not None:
+        _require_positive("eps", args.eps)
 
 
 def _emit(args, result: dict) -> None:
@@ -160,23 +142,21 @@ def _emit(args, result: dict) -> None:
 
 def cmd_roots(args) -> dict:
     _require(args, "poly")
-    poly = _load_unipoly(args.poly)
+    poly = _load(UniPoly, args.poly)
     found = find_roots(poly, args.tol)
     clustered = cluster_multiplicities(found, args.cluster_radius)
     return {
         "degree": poly.degree,
         "residual_bound": found.residual_bound,
-        "roots": [
-            {"value": _cnum(v), "multiplicity": m} for v, m in clustered.roots
-        ],
+        "roots": [{"value": _json_cnum(v), "multiplicity": m} for v, m in clustered.roots],
     }
 
 
 def cmd_align(args) -> dict:
     _require(args, "f", "g")
-    f = _load_unipoly(args.f)
+    f = _load(UniPoly, args.f)
     _require_positive("tol", args.tol)
-    g = _load_unipoly(args.g)
+    g = _load(UniPoly, args.g)
     if f.degree != g.degree:
         raise ValueError(f"size mismatch: {f.degree} vs {g.degree}")
     # f and g in one batch; each row equals its one-row ``find_roots`` solve.
@@ -184,10 +164,7 @@ def cmd_align(args) -> dict:
     rf = _certify_row(f, roots[0], res[0], converged[0])
     rg = _certify_row(g, roots[1], res[1], converged[1])
     match = bottleneck_match(rf, rg)
-    out = {
-        "perm": list(match.perm),
-        "bottleneck": match.bottleneck,
-    }
+    out = match.to_json_dict()
     if args.eps is not None:
         out["eps"] = args.eps
         out["aligned"] = match.bottleneck < args.eps
@@ -196,29 +173,29 @@ def cmd_align(args) -> dict:
 
 def cmd_modulus(args) -> dict:
     _require(args, "f")
-    f = _load_unipoly(args.f)
+    f = _load(UniPoly, args.f)
     delta = empirical_modulus(f, args.eps, trials=args.trials, seed=args.seed)
     return {"eps": args.eps, "trials": args.trials, "delta": delta}
 
 
 def cmd_jet_lift(args) -> dict:
     _require(args, "f", "g")
-    f = _load_unipoly(args.f)
-    g = _load_jetpoly(args.g)
+    f = _load(UniPoly, args.f)
+    g = _load(JetPoly, args.g)
     alignment = jet_align_roots(f, g, order=args.order)
     return alignment.to_json_dict()
 
 
 def cmd_lemma(args) -> dict:
     _require(args, "f", "g")
-    f, g = _load_poly(args.f), _load_poly(args.g)
+    f, g = _load(SparsePoly, args.f), _load(SparsePoly, args.g)
     report = lemma_check(f, g, T=args.T, eps=args.eps, grid=args.grid)
     return report.to_json_dict()
 
 
 def cmd_contain(args) -> dict:
     _require(args, "f", "g")
-    f, g = _load_poly(args.f), _load_poly(args.g)
+    f, g = _load(SparsePoly, args.f), _load(SparsePoly, args.g)
     report = containment_check(
         f, g, T=args.T, eps=args.eps, grid=args.grid, tol=args.tol, axis=args.axis
     )
@@ -229,20 +206,16 @@ def cmd_contain(args) -> dict:
 
 def cmd_variety(args) -> dict:
     _require(args, "f")
-    system = PolySystem([_load_poly(p) for p in args.f])
+    system = PolySystem([_load(SparsePoly, p) for p in args.f])
     if args.points:
         cloud = _load_cloud(args.points)
     else:
-        base = system.polys[0]
-        cloud = sample_hypersurface(
-            base, args.T, args.axis or default_axis(base), args.grid, args.tol
-        )
+        cloud = sample_hypersurface(system.polys[0], args.T, args.axis, args.grid, args.tol)
     if args.g:
-        jets = [_load_jetpoly(p) for p in args.g]
+        jets = [_load(JetPoly, p) for p in args.g]
         report = variety_jet_check(system, jets, cloud, order=args.order, tol=args.tol)
         return report.to_json_dict()
     arr = system_residual(system, cloud.points)
-    members = int((arr < args.eps).sum()) if args.eps is not None else None
     out = {
         "points": len(cloud),
         "max_residual": float(arr.max()) if arr.size else 0.0,
@@ -250,7 +223,7 @@ def cmd_variety(args) -> dict:
     }
     if args.eps is not None:
         out["eps"] = args.eps
-        out["members"] = members
+        out["members"] = int((arr < args.eps).sum())
     return out
 
 
@@ -537,6 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_seed() -> int:
+    """``DEFORMKIT_SEED`` if set, else ``DEFAULT_SEED``."""
+    env = os.environ.get("DEFORMKIT_SEED") or str(DEFAULT_SEED)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DEFORMKIT_SEED must be an integer, got {env!r}") from None
+
+
 def _report_error(args, code: int, exc: BaseException) -> int:
     if getattr(args, "json_errors", False):
         payload = {"error": {"type": type(exc).__name__, "message": str(exc), "code": code}}
@@ -553,10 +535,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _report_error(argparse.Namespace(json_errors="--json-errors" in argv), 1, exc)
 
-    if args.seed is None:
-        env = os.environ.get("DEFORMKIT_SEED")
-        args.seed = int(env) if env else DEFAULT_SEED
-
     if args.selftest:
         checks = _SELFTESTS[args.command]()
         for name, ok in checks:
@@ -564,6 +542,8 @@ def main(argv=None) -> int:
         return 0 if all(ok for _, ok in checks) else 2
 
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         _require_finite(args)
         result = args.func(args)
     except _NUMERIC_ERRORS as exc:

@@ -34,7 +34,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .polynomials import SparsePoly, _check_index, _json_complex, _json_int, coeff_sup_distance
+from .polynomials import (
+    SparsePoly,
+    _check_index,
+    _json_cnum,
+    _json_complex,
+    _json_int,
+    coeff_sup_distance,
+)
 from .roots import UniPoly, cluster_multiplicities, find_roots
 
 __all__ = [
@@ -316,7 +323,7 @@ class Jet:
         return {
             "min_exp": self._min_exp,
             "order": self._order,
-            "coeffs": [{"re": c.real, "im": c.imag} for c in self._coeffs],
+            "coeffs": [_json_cnum(c) for c in self._coeffs],
         }
 
     @classmethod
@@ -491,22 +498,13 @@ class JetPoly:
 
 
 def approx_poly(g: JetPoly, h: JetPoly) -> bool:
-    """True iff corresponding coefficients differ by infinitesimals only.
+    """True iff corresponding coefficients differ by infinitesimals only,
+    that is iff the standard-part polynomials agree to ``APPROX_TOL``.
 
     Coefficients are compared over the union of the supports with the zero
-    jet filling gaps.  Equivalent to equality of the standard-part
-    polynomials; both directions are exercised by the property tests.
+    jet filling gaps; an infinite coefficient raises ``ValueError``.
     """
-    if g.nvars != h.nvars:
-        raise ValueError("variable count mismatch")
-    order = min(g.order, h.order)
-    gt, ht = g.terms, h.terms
-    for idx in gt.keys() | ht.keys():
-        a = gt.get(idx, Jet.zero(order)).truncate(order)
-        b = ht.get(idx, Jet.zero(order)).truncate(order)
-        if not approx(a, b):
-            return False
-    return True
+    return coeff_sup_distance(st_poly(g), st_poly(h)) <= APPROX_TOL
 
 
 def st_poly(g: JetPoly) -> SparsePoly:
@@ -524,21 +522,21 @@ ST_MATCH_TOL = 1e-12
 SIMPLE_ROOT_MIN_DERIV = 1e-6
 # Roots of f closer than this are one multiple root in ``jet_align_roots``.
 CLUSTER_RADIUS = 1e-6
-# The "is zero" rule of the root solver's residual lock (Higham 2002, §5.1):
-# a value passes when it is at most this multiple of its rounding scale.
-_ZERO_TOL = _kernels._RES_FACTOR * _kernels._EPS
+_ZERO_TOL = _kernels._ZERO_TOL
 
 
-def _check_st_match(f: SparsePoly, g: JetPoly) -> None:
-    """Raise ``ValueError`` unless the standard part of ``g`` is ``f``."""
+def _check_st_match(f: SparsePoly, g: JetPoly) -> SparsePoly:
+    """``st(g)``; raises ``ValueError`` unless it is ``f``."""
     if g.nvars != f.nvars:
         raise ValueError(
             f"jet polynomial has {g.nvars} variables, its base polynomial {f.nvars}"
         )
-    if coeff_sup_distance(st_poly(g), f) > ST_MATCH_TOL:
+    st = st_poly(g)
+    if coeff_sup_distance(st, f) > ST_MATCH_TOL:
         raise ValueError(
             "standard part of the jet polynomial does not match the base polynomial"
         )
+    return st
 
 
 def _series_horner(G: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -666,7 +664,8 @@ def hensel_lift_root(
         If a lift residual is not finite or exceeds its rounding bound.
     """
     K = _lift_order(g, order)
-    _check_st_match(f.to_sparse(), g)
+    fs = f.to_sparse()
+    _check_st_match(fs, g)
     zeta = np.asarray(zeta, dtype=np.complex128)
     if zeta.ndim > 1:
         raise ValueError("zeta must be one root or a 1-D array of roots")
@@ -683,7 +682,7 @@ def hensel_lift_root(
                 f"{complex(z[i])} is not a root of the base polynomial: |f| = "
                 f"{fz[i]:.3e} exceeds its rounding bound {root_bound[i]:.3e}"
             )
-    lifted, W, res, bound, ok = lift_fibers(f.to_sparse(), g, 0, z[:, None], K)
+    lifted, W, res, bound, ok = lift_fibers(fs, g, 0, z[:, None], K)
     if not lifted.all():
         i = np.flatnonzero(~lifted)[0]
         raise MultipleRootError(
@@ -714,11 +713,11 @@ class JetAlignment:
     def to_json_dict(self) -> dict:
         return {
             "pairs": [
-                {"root": {"re": z.real, "im": z.imag}, "lift": w.to_json_dict()}
+                {"root": _json_cnum(z), "lift": w.to_json_dict()}
                 for z, w in self.pairs
             ],
             "skipped": [
-                {"root": {"re": z.real, "im": z.imag}, "multiplicity": m, "reason": why}
+                {"root": _json_cnum(z), "multiplicity": m, "reason": why}
                 for z, m, why in self.skipped
             ],
         }

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import SparsePoly, _require_positive, coeff_sup_distance
-from .varieties import SampleCloud, _finite_point, complex_grid_axis
+from .polynomials import SparsePoly, _json_cnum, _require_positive, coeff_sup_distance
+from .varieties import SampleCloud, _finite_point, _in_window, complex_grid_axis
 
 __all__ = [
     "sup_norm_dist",
@@ -165,8 +165,8 @@ class Witness:
 
     def to_json_dict(self) -> dict:
         return {
-            "w": {"re": self.w.real, "im": self.w.imag},
-            "point": [{"re": z.real, "im": z.imag} for z in self.point],
+            "w": _json_cnum(self.w),
+            "point": [_json_cnum(z) for z in self.point],
             "analytic_distance": self.analytic_distance,
             "measured_distance": self.measured_distance,
         }
@@ -226,7 +226,7 @@ def _witness_scan(delta_prime, eps, T, grid, measure_grid):
     """
     wgrid = complex_grid_axis(T, grid)
     scale = 1.0 + delta_prime
-    on_window = np.abs(wgrid * scale) <= T * (1.0 + 1e-12)
+    on_window = _in_window(wgrid * scale, T)
     threshold = 2.0 * eps / delta_prime
     far = np.abs(wgrid) >= threshold
     ws = wgrid[on_window & far]
@@ -250,7 +250,7 @@ def _witness_scan(delta_prime, eps, T, grid, measure_grid):
         d0 = complex(toward_zero(m.real), toward_zero(m.imag))
         half = max(abs(w - d0), abs(w2 - d0)) + step
         diag = near(m.real, half)[:, None] + 1j * near(m.imag, half)[None, :]
-        diag = diag[np.abs(diag) <= T * (1.0 + 1e-12)]
+        diag = diag[_in_window(diag, T)]
         measured = float(np.minimum.reduce(
             np.maximum(np.abs(w - diag), np.abs(w2 - diag))
         ))

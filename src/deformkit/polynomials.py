@@ -38,6 +38,8 @@ __all__ = [
 # Default magnitude below which ``SparsePoly.prune`` drops coefficients;
 # arithmetic drops only exact zeros.
 PRUNE_TOL = 1e-14
+# Scale of a delta that makes a random perturbation a strict delta-deformation.
+_STRICT = 1.0 - 1e-9
 
 
 def _require_finite(c: complex, where: str) -> complex:
@@ -66,6 +68,11 @@ def _json_complex(entry: Mapping) -> complex:
         if isinstance(entry[key], (str, bool)) or entry[key] is None:
             raise ValueError(f"{key} must be a number, got {entry[key]!r}")
     return complex(float(entry["re"]), float(entry["im"]))
+
+
+def _json_cnum(z: complex) -> dict:
+    """``z`` as the JSON pair that ``_json_complex`` reads back."""
+    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _check_index(exps: Sequence[int], nvars: int) -> tuple[int, ...]:
@@ -235,12 +242,7 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other) -> "SparsePoly":
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self._nvars, other)
-        elif other._nvars != self._nvars:
-            raise ValueError(
-                f"variable count mismatch: {self._nvars} vs {other._nvars}"
-            )
+        other = self._coerce(other)
         out: dict[tuple[int, ...], complex] = {}
         for ia, ca in self._terms.items():
             for ib, cb in other._terms.items():
@@ -376,13 +378,13 @@ def degree_and_support(p: SparsePoly) -> tuple[int, int]:
 def random_deformation(p: SparsePoly, delta: float, seed: int) -> SparsePoly:
     """Perturb every coefficient by an independent draw from the open disc.
 
-    The perturbations are uniform on the disc of radius ``delta * (1 - 1e-9)``,
+    The perturbations are uniform on the disc of radius ``delta * _STRICT``,
     so the output is always a strict delta-deformation with the same support.
     Deterministic for a fixed seed.
     """
     _require_positive("delta", delta)
     rng = np.random.default_rng(seed)
-    radius = delta * (1.0 - 1e-9)
+    radius = delta * _STRICT
     out: dict[tuple[int, ...], complex] = {}
     for idx, coeff in p.sorted_terms():
         u, v = rng.random(), rng.random()

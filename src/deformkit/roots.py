@@ -248,27 +248,25 @@ def cluster_multiplicities(r: RootMultiset, radius: float = 1e-6) -> RootMultise
     value depends on how strongly repeated roots split under rounding.
     """
     _require_positive("radius", radius)
-    entries = list(r.roots)
+    entries = r.roots
     n = len(entries)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(entries[i][0] - entries[j][0]) <= radius:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[tuple[complex, int]]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(entries[i])
+    z = np.array([v for v, _ in entries], dtype=np.complex128)
+    # Linked pairs, then paths of up to 2**k links after k squarings: row i
+    # marks i's cluster.  ``hypot`` rounds as Python's complex ``abs`` does;
+    # NumPy's complex ``abs`` can differ in the last bit at the radius.
+    d = z[:, None] - z[None, :]
+    reach = np.hypot(d.real, d.imag) <= radius
+    np.fill_diagonal(reach, True)  # a non-finite root is its own cluster
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
 
     merged = []
-    for members in groups.values():
+    seen = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen |= reach[i]
+        members = [entries[k] for k in np.flatnonzero(reach[i]).tolist()]
         total = sum(m for _, m in members)
         centroid = sum(v * m for v, m in members) / total
         merged.append((centroid, total))

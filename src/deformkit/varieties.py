@@ -27,10 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .jets import ST_MATCH_TOL, Jet, JetPoly, _check_st_match, _lift_order, lift_fibers, st_poly
+from .jets import ST_MATCH_TOL, Jet, JetPoly, _check_st_match, _lift_order, lift_fibers
 from .polynomials import (
     PolySystem,
     SparsePoly,
+    _json_cnum,
     _require_positive,
     coeff_sup_distance,
     degree_and_support,
@@ -90,15 +91,21 @@ def _finite_point(point: Sequence[complex], name: str = "point") -> list[complex
     return coords
 
 
+def _in_window(z, T: float):
+    """Whether ``|z| <= T``, with one part in 1e12 of slack for rounding."""
+    return np.abs(z) <= T * (1.0 + 1e-12)
+
+
 def complex_grid_axis(T: float, resolution: int) -> np.ndarray:
     """Grid values for one complex coordinate, C-ordered by (re, im) index."""
     _require_positive("T", T)
     if resolution < 3:  # 2 points per real axis give only the corners +-T +-iT
         raise ValueError(f"resolution must be >= 3 to reach the disk, got {resolution}")
+    _kernels.check_grid_size(resolution**2)
     g = np.linspace(-T, T, resolution)
     re, im = np.meshgrid(g, g, indexing="ij")
     vals = (re + 1j * im).ravel()
-    return vals[np.abs(vals) <= T * (1.0 + 1e-12)]
+    return vals[_in_window(vals, T)]
 
 
 class SampleCloud:
@@ -262,7 +269,7 @@ class LemmaReport:
             "delta_limit": self.delta_limit,
             "coeff_distance": self.coeff_distance,
             "sup_deviation": self.sup_deviation,
-            "argmax_point": [{"re": z.real, "im": z.imag} for z in self.argmax_point],
+            "argmax_point": [_json_cnum(z) for z in self.argmax_point],
             "points_checked": self.points_checked,
             "passed": self.passed,
         }
@@ -321,14 +328,15 @@ def default_axis(f: SparsePoly) -> int:
 def sample_hypersurface(
     f: SparsePoly,
     T: float,
-    axis: int,
+    axis: int | None = None,
     grid: int = 21,
     tol: float = 1e-8,
 ) -> SampleCloud:
     """Finite stand-in for the zero set of ``f`` inside the radius-T hypercube.
 
     For every grid assignment of the other coordinates, the polynomial is
-    specialized to the 1-based ``axis`` variable and solved; roots of modulus
+    specialized to the 1-based ``axis`` variable (``default_axis(f)`` if
+    None) and solved; roots of modulus
     at most ``T`` whose full residual ``|f(z)|`` stays within ``tol`` times
     the documented scale are kept.  Fibers whose leading coefficient
     collapses (degree drop) are skipped and counted in ``meta``, as are
@@ -338,6 +346,8 @@ def sample_hypersurface(
         raise ValueError("cannot sample the zero polynomial")
     _require_positive("tol", tol)
     n = f.nvars
+    if axis is None:
+        axis = default_axis(f)
     if not 1 <= axis <= n:
         raise ValueError(f"axis must be in 1..{n}, got {axis}")
     j = axis - 1
@@ -358,7 +368,7 @@ def sample_hypersurface(
 
     good = np.flatnonzero(np.abs(C[:, m]) >= DEGENERATE_LEAD_TOL)
     roots, res, converged = solve_batch(C[good])
-    keep = (np.abs(roots) <= T * (1.0 + 1e-12)) & (res <= tol * scale)
+    keep = _in_window(roots, T) & (res <= tol * scale)
     rows, cols = np.nonzero(keep)
     points = np.empty((rows.size, n), dtype=np.complex128)
     points[:, other] = _grid_points(good[rows], fiber_axes)
@@ -418,10 +428,7 @@ class ContainmentReport:
             "samples": self.samples,
             "sample_meta": self.sample_meta,
             "violation_list": [
-                {
-                    "point": [{"re": z.real, "im": z.imag} for z in pt],
-                    "residual": r,
-                }
+                {"point": [_json_cnum(z) for z in pt], "residual": r}
                 for pt, r in self.violation_list
             ],
         }
@@ -443,9 +450,6 @@ def containment_check(
     ``eps_effective = eps - lipschitz_bound(g, T) * tol``.
     """
     limit, dist = _deformation_precondition(f, g, eps, T)
-
-    if axis is None:
-        axis = default_axis(f)
     cloud = sample_hypersurface(f, T, axis, grid, tol)
 
     vals = np.abs(eval_at_points(g, cloud.points))
@@ -543,8 +547,7 @@ def variety_jet_check(
     G = [jet_system] if isinstance(jet_system, JetPoly) else list(jet_system)
     if len(G) != len(F):
         raise ValueError(f"system sizes differ: {len(F)} vs {len(G)}")
-    for f, g in zip(F, G):
-        _check_st_match(f, g)
+    sts = [_check_st_match(f, g) for f, g in zip(F, G)]
     if samples.n != F.nvars:
         raise ValueError("sample cloud dimension mismatch")
     K = _lift_order(G[0], order)
@@ -556,7 +559,7 @@ def variety_jet_check(
 
     witnesses = samples.points[system_residual(F, samples.points) <= tol]
 
-    bad = [~(np.abs(st_poly(g).evaluate(witnesses)) <= threshold) for g in G]
+    bad = [~(np.abs(s.evaluate(witnesses)) <= threshold) for s in sts]
 
     backward_checked = backward_failures = 0
     f = F.polys[0]

@@ -581,6 +581,50 @@ def test_non_finite_option_is_exit_one(argv, option, tmp_path, capsys):
     assert f"{option} must be finite" in err
 
 
+def test_variety_axis_out_of_range_is_exit_one_like_contain(files, tmp_path, capsys):
+    # variety --axis 0 sampled along the default axis and echoed "axis": 0.
+    out = tmp_path / "r.json"
+    errs = []
+    for argv in (
+        ["contain", "--f", files["diag.json"], "--g", files["diag.json"]],
+        ["variety", "--f", files["diag.json"]],
+    ):
+        assert main(argv + ["--axis", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "deformkit: error: axis must be in 1..2, got 0\n"
+
+
+@pytest.mark.parametrize("eps", ["0", "-1"])
+@pytest.mark.parametrize("command", ["align", "variety", "hausdorff"])
+def test_non_positive_eps_is_exit_one(command, eps, files, tmp_path, capsys):
+    # These reported "aligned": false, "members": 0 and
+    # "is_eps_deformation": false with exit 0.
+    inputs = {
+        "align": ["--f", files["f1.json"], "--g", files["g1.json"]],
+        "variety": ["--f", files["diag.json"], "--points", files["W.csv"]],
+        "hausdorff": ["--W", files["W.csv"], "--Z", files["Z.csv"]],
+    }[command]
+    out = tmp_path / "r.json"
+    assert main([command, *inputs, f"--eps={eps}", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"deformkit: error: eps must be positive, got {float(eps)}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_non_integer_seed_env_is_exit_one(value, files, monkeypatch, capsys):
+    monkeypatch.setenv("DEFORMKIT_SEED", value)
+    argv = ["roots", "--poly", files["f1.json"]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"deformkit: error: DEFORMKIT_SEED must be an integer, got {value!r}\n"
+    assert main(argv + ["--json-errors"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["code"] == 1 and "DEFORMKIT_SEED" in payload["error"]["message"]
+    assert main(argv + ["--seed", "3"]) == 0  # an explicit seed never reads it
+
+
 def test_reports_are_byte_identical(files, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     args = ["align", "--f", files["f1.json"], "--g", files["g1.json"],

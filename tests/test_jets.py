@@ -237,6 +237,27 @@ def test_poly_closeness_iff_equal_standard_parts():
     assert st_poly(g) != st_poly(shifted)
 
 
+def test_poly_closeness_across_orders():
+    # Orders 3 and 20 compare by standard parts; the (1,) term of ``high``
+    # is infinitesimal, so it matches the zero jet that ``low`` lacks.
+    low = JetPoly.from_sparse(SparsePoly(1, {(2,): 1.0, (0,): -1.0}), 3)
+    one, eps = Jet.constant(1.0, 20), Jet.eps(20)
+    high = JetPoly(1, {(2,): one + eps**15, (1,): eps, (0,): -one}, 20)
+    assert approx_poly(low, high) and approx_poly(high, low)
+    moved = JetPoly(1, {(2,): one, (1,): 1e-6 * one, (0,): -one}, 20)
+    assert not approx_poly(low, moved) and not approx_poly(moved, low)
+
+
+def test_poly_closeness_refuses_an_infinite_coefficient():
+    # Whatever coefficient the comparison reaches first, an infinite one
+    # raises: (1,) differs by 1, so a scan could stop before (0,).
+    g = JetPoly(1, {(1,): Jet.constant(1.0), (0,): 1 / Jet.eps()})
+    h = JetPoly(1, {(0,): 1 / Jet.eps()})
+    for a, b in ((g, h), (h, g), (g, g)):
+        with pytest.raises(ValueError, match="infinite"):
+            approx_poly(a, b)
+
+
 def test_closeness_respects_sums_and_products():
     rng = np.random.default_rng(55)
     for _ in range(25):

@@ -187,6 +187,71 @@ def test_cluster_mixed_example():
     assert merged.total_multiplicity == 3
 
 
+def union_find_clusters(r, radius):
+    """Oracle: the single-linkage union-find that ``cluster_multiplicities``
+    used before its reachability matrix, with its centroid sums."""
+    entries = list(r.roots)
+    n = len(entries)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(entries[i][0] - entries[j][0]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(entries[i])
+    merged = []
+    for members in groups.values():
+        total = sum(m for _, m in members)
+        merged.append((sum(v * m for v, m in members) / total, total))
+    merged.sort(key=lambda vm: (vm[0].real, vm[0].imag))
+    return tuple(merged)
+
+
+# Dyadic coordinates on a 1/8 lattice: differences are exact, so pairs sit
+# exactly at the radius and chains of linked roots are common.
+_lattice = st.integers(-6, 6).map(lambda k: k / 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_lattice, _lattice, st.integers(1, 3)), max_size=12),
+    st.sampled_from([0.125, 0.25, 0.3125, 0.5]),
+)
+def test_cluster_matches_union_find_oracle(entries, radius):
+    from deformkit.roots import RootMultiset
+
+    r = RootMultiset(
+        roots=tuple((complex(a, b), m) for a, b, m in entries), residual_bound=0.0
+    )
+    merged = cluster_multiplicities(r, radius)
+    assert merged.roots == union_find_clusters(r, radius)
+    assert merged.total_multiplicity == r.total_multiplicity
+
+
+def test_cluster_chains_and_exact_radius():
+    from deformkit.roots import RootMultiset
+
+    # 0 - 0.25 - 0.5 - 0.75 is one chain at radius 0.25 (every link exactly
+    # at the radius) although its ends are 0.75 apart; 2 is alone.
+    roots = ((0.75 + 0j, 1), (0j, 2), (2 + 0j, 1), (0.5 + 0j, 3), (0.25 + 0j, 1))
+    r = RootMultiset(roots=roots, residual_bound=0.0)
+    merged = cluster_multiplicities(r, 0.25)
+    assert merged.roots == union_find_clusters(r, 0.25)
+    assert [m for _, m in merged.roots] == [7, 1]
+    assert cluster_multiplicities(r, 0.2).roots == union_find_clusters(r, 0.2)
+    assert len(cluster_multiplicities(r, 0.2).roots) == 5
+    empty = RootMultiset(roots=(), residual_bound=0.0)
+    assert cluster_multiplicities(empty, 0.25).roots == ()
+
+
 def test_cluster_rejects_bad_radius():
     r = find_roots(UniPoly([-1, 0, 1]))
     with pytest.raises(ValueError):

@@ -171,6 +171,16 @@ def test_grid_axis_without_disk_points_is_rejected(resolution):
     assert complex_grid_axis(1.0, 3).size == 5
 
 
+def test_grid_axis_over_the_grid_limit_is_rejected(monkeypatch):
+    # An axis of resolution**2 points past the limit used to be built first.
+    from deformkit import _kernels
+
+    monkeypatch.setattr(_kernels, "_GRID_LIMIT", 100)
+    assert complex_grid_axis(1.0, 10).size > 0
+    with pytest.raises(ValueError, match="grid of 121 points is too large"):
+        complex_grid_axis(1.0, 11)
+
+
 def test_grid_points_match_unravel_index():
     rng = np.random.default_rng(16)
     for n in (1, 2, 3):
