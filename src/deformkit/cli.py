@@ -28,6 +28,7 @@ from .jets import (
     Jet,
     JetPoly,
     MultipleRootError,
+    _check_order,
     hensel_lift_root,
     jet_align_roots,
 )
@@ -40,6 +41,7 @@ from .metrics import (
 )
 from .polynomials import PolySystem, SparsePoly, _json_cnum, _require_positive
 from .roots import (
+    CLUSTER_RADIUS,
     RootConvergenceError,
     UniPoly,
     _certify_row,
@@ -49,6 +51,7 @@ from .roots import (
 )
 from .varieties import (
     SampleCloud,
+    _sampling_grid,
     containment_check,
     delta_bound,
     lemma_check,
@@ -208,9 +211,13 @@ def cmd_variety(args) -> dict:
     _require(args, "f")
     system = PolySystem([_load(SparsePoly, p) for p in args.f])
     if args.points:
+        # Unused with a given cloud, but echoed in the report all the same.
+        _sampling_grid(system.nvars, args.T, args.axis, args.grid, args.tol)
         cloud = _load_cloud(args.points)
     else:
         cloud = sample_hypersurface(system.polys[0], args.T, args.axis, args.grid, args.tol)
+    if args.order is not None:
+        _check_order(args.order)
     if args.g:
         jets = [_load(JetPoly, p) for p in args.g]
         report = variety_jet_check(system, jets, cloud, order=args.order, tol=args.tol)
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("roots", help="find and cluster all roots")
     sp.add_argument("--poly", required=False, help="polynomial JSON (nvars=1)")
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--cluster-radius", type=float, default=1e-6)
+    sp.add_argument("--cluster-radius", type=float, default=CLUSTER_RADIUS)
     _add_common(sp)
     sp.set_defaults(func=cmd_roots)
 

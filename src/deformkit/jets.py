@@ -42,7 +42,7 @@ from .polynomials import (
     _json_int,
     coeff_sup_distance,
 )
-from .roots import UniPoly, cluster_multiplicities, find_roots
+from .roots import CLUSTER_RADIUS, UniPoly, cluster_multiplicities, find_roots
 
 __all__ = [
     "Jet",
@@ -520,8 +520,6 @@ def st_poly(g: JetPoly) -> SparsePoly:
 
 ST_MATCH_TOL = 1e-12
 SIMPLE_ROOT_MIN_DERIV = 1e-6
-# Roots of f closer than this are one multiple root in ``jet_align_roots``.
-CLUSTER_RADIUS = 1e-6
 _ZERO_TOL = _kernels._ZERO_TOL
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import SparsePoly, _json_cnum, _require_positive, coeff_sup_distance
-from .varieties import SampleCloud, _finite_point, _in_window, complex_grid_axis
+from .varieties import SampleCloud, _finite_points, _in_window, complex_grid_axis
 
 __all__ = [
     "sup_norm_dist",
@@ -33,19 +33,15 @@ __all__ = [
 
 
 def sup_norm_dist(w: Sequence[complex], z: Sequence[complex]) -> float:
-    if len(w) != len(z):
-        raise ValueError(f"dimension mismatch: {len(w)} vs {len(z)}")
-    return max(abs(a - b) for a, b in zip(_finite_point(w, "w"), _finite_point(z, "z")))
+    wv = _finite_points(w, "w", (len(w),))  # one point: a 1-D array
+    return float(_row_dists(wv[None, :], _finite_points(z, "z", wv.shape)[None, :])[0])
 
 
 def point_set_distance(w: Sequence[complex], Z: SampleCloud) -> float:
     """Min sup-norm distance from the point to the (finite, nonempty) cloud."""
     if len(Z) == 0:
         raise ValueError("distance to an empty cloud is undefined")
-    wv = np.asarray(_finite_point(w, "w"), dtype=np.complex128)
-    if wv.size != Z.n:
-        raise ValueError(f"dimension mismatch: {wv.size} vs {Z.n}")
-    return _directed_sup(wv[None, :], Z.points)
+    return _directed_sup(_finite_points(w, "w", (Z.n,))[None, :], Z.points)
 
 
 # The most complex differences ``_directed_sup`` holds at once.

@@ -17,7 +17,6 @@ supports (absent terms count as zero), and ``q`` is a delta-deformation of
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import operator
@@ -388,6 +387,7 @@ def random_deformation(p: SparsePoly, delta: float, seed: int) -> SparsePoly:
     out: dict[tuple[int, ...], complex] = {}
     for idx, coeff in p.sorted_terms():
         u, v = rng.random(), rng.random()
-        eta = radius * math.sqrt(u) * cmath.exp(2j * math.pi * v)
+        angle = 2 * math.pi * v
+        eta = radius * math.sqrt(u) * complex(math.cos(angle), math.sin(angle))
         out[idx] = coeff + eta
     return SparsePoly(p.nvars, out)

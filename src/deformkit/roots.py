@@ -30,6 +30,7 @@ __all__ = [
     "cluster_multiplicities",
     "MAX_DEGREE",
     "MAX_SWEEPS",
+    "CLUSTER_RADIUS",
 ]
 
 MAX_DEGREE = 64
@@ -38,6 +39,8 @@ MAX_SWEEPS = 200
 INIT_ANGLE = math.sqrt(2.0)
 # Newton steps tried on every root after the Aberth sweeps.
 POLISH_STEPS = 2
+# Roots closer than this are one multiple root (``cluster_multiplicities``).
+CLUSTER_RADIUS = 1e-6
 
 
 class RootConvergenceError(RuntimeError):
@@ -239,7 +242,7 @@ def find_roots(p: UniPoly, tol: float = 1e-12) -> RootMultiset:
     return _certify_row(p, roots[0], res[0], converged[0])
 
 
-def cluster_multiplicities(r: RootMultiset, radius: float = 1e-6) -> RootMultiset:
+def cluster_multiplicities(r: RootMultiset, radius: float = CLUSTER_RADIUS) -> RootMultiset:
     """Merge single-linkage clusters of roots within ``radius``.
 
     Each cluster becomes one root at the multiplicity-weighted centroid with

@@ -19,7 +19,6 @@ as in ``lemma_check``'s grid supremum and solved in one batched sweep.
 
 from __future__ import annotations
 
-import cmath
 import io
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -78,17 +77,21 @@ class Hypercube:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
     def contains(self, point: Sequence[complex]) -> bool:
-        if len(point) != self.n:
-            raise ValueError(f"point has dimension {len(point)}, expected {self.n}")
-        return max(abs(z) for z in _finite_point(point)) <= self.T
+        return bool(_in_window(_finite_points(point, shape=(self.n,)), self.T).all())
 
 
-def _finite_point(point: Sequence[complex], name: str = "point") -> list[complex]:
-    """``point`` as a list of complex numbers; NaN or inf raises ValueError."""
-    coords = [complex(z) for z in point]
-    if not all(cmath.isfinite(z) for z in coords):
-        raise ValueError(f"non-finite coordinate in {name}: {coords}")
-    return coords
+def _finite_points(points, name: str = "point", shape: tuple | None = None) -> np.ndarray:
+    """One point or an (M, n) array of points as complex128; a shape other
+    than ``shape`` (if given), NaN or inf raises ValueError."""
+    arr = np.asarray(points, dtype=np.complex128)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        rows = arr.reshape(-1, arr.shape[-1] if arr.ndim else 1)
+        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        where = f"{name} {i}" if arr.ndim >= 2 else name
+        raise ValueError(f"non-finite coordinate in {where}: {rows[i].tolist()}")
+    return arr
 
 
 def _in_window(z, T: float):
@@ -117,10 +120,7 @@ class SampleCloud:
         arr = np.asarray(points, dtype=np.complex128)
         if arr.ndim != 2:
             raise ValueError("points must be a 2-D array of shape (count, n)")
-        bad = ~np.isfinite(arr).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"non-finite coordinate in sample point {i}: {arr[i].tolist()}")
+        _finite_points(arr, "sample point")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
         object.__setattr__(self, "label", str(label))
@@ -182,10 +182,11 @@ def _repr_column(col: np.ndarray) -> list[str]:
 # -- pointwise membership and the quantitative bound -------------------------
 
 
-def v_eps_member(g: SparsePoly, w: Sequence[complex], eps: float) -> bool:
-    """True iff |g(w)| < eps (strict)."""
+def v_eps_member(g: SparsePoly, w, eps: float) -> bool | np.ndarray:
+    """True iff |g(w)| < eps (strict); one answer per point of an (M, n) array."""
     _require_positive("eps", eps)
-    return abs(g.evaluate(w)) < eps
+    member = np.abs(g.evaluate(_finite_points(w))) < eps
+    return bool(member) if member.ndim == 0 else member
 
 
 def delta_bound(eps: float, T: float, d: int, support_size: int) -> float:
@@ -325,6 +326,16 @@ def default_axis(f: SparsePoly) -> int:
     raise ValueError("polynomial is constant; its zero set is empty")
 
 
+def _sampling_grid(nvars: int, T: float, axis: int | None, grid: int, tol: float) -> np.ndarray:
+    """The grid axis of each fiber coordinate of ``sample_hypersurface``;
+    raises ValueError on an option sampling refuses.  An ``axis`` of None
+    is resolved later, from the polynomial."""
+    _require_positive("tol", tol)
+    if axis is not None and not 1 <= axis <= nvars:
+        raise ValueError(f"axis must be in 1..{nvars}, got {axis}")
+    return complex_grid_axis(T, grid)
+
+
 def sample_hypersurface(
     f: SparsePoly,
     T: float,
@@ -344,12 +355,10 @@ def sample_hypersurface(
     """
     if f.is_zero():
         raise ValueError("cannot sample the zero polynomial")
-    _require_positive("tol", tol)
+    grid_axis = _sampling_grid(f.nvars, T, axis, grid, tol)
     n = f.nvars
     if axis is None:
         axis = default_axis(f)
-    if not 1 <= axis <= n:
-        raise ValueError(f"axis must be in 1..{n}, got {axis}")
     j = axis - 1
     m = f.degree_in(j)
     if m < 1:
@@ -358,7 +367,7 @@ def sample_hypersurface(
     scale = 1.0 + f.coeff_inf_norm() * support * float(max(T, 1.0)) ** d
 
     other = [k for k in range(n) if k != j]
-    fiber_axes = [complex_grid_axis(T, grid)] * len(other)
+    fiber_axes = [grid_axis] * len(other)
 
     # Row b of C holds the coefficients in the axis variable at fiber b.
     exps, coeffs = _term_arrays(f)

@@ -595,6 +595,34 @@ def test_variety_axis_out_of_range_is_exit_one_like_contain(files, tmp_path, cap
     assert errs[0] == errs[1] == "deformkit: error: axis must be in 1..2, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--axis", "7", "axis must be in 1..2, got 7"),
+        ("--grid", "2", "resolution must be >= 3 to reach the disk, got 2"),
+        ("--tol", "-1", "tol must be positive, got -1.0"),
+        ("--T", "-3", "T must be positive, got -3.0"),
+        ("--order", "99", "order must be in 1..32, got 99"),
+    ],
+)
+def test_variety_checks_echoed_options_with_a_given_cloud(
+    option, value, message, files, tmp_path, capsys
+):
+    # With --points these options were echoed into the report's config, exit 0.
+    # Each now gets the message of the sampling path, or of jet-lift's lift.
+    out = tmp_path / "r.json"
+    runs = [
+        ["variety", "--f", files["diag.json"], "--points", files["W.csv"]],
+        ["variety", "--f", files["diag.json"]],
+    ]
+    if option == "--order":
+        runs.append(["jet-lift", "--f", files["f1.json"], "--g", files["gjet.json"]])
+    for argv in runs:
+        assert main(argv + [option, value, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"deformkit: error: {message}\n"
+
+
 @pytest.mark.parametrize("eps", ["0", "-1"])
 @pytest.mark.parametrize("command", ["align", "variety", "hausdorff"])
 def test_non_positive_eps_is_exit_one(command, eps, files, tmp_path, capsys):

@@ -57,6 +57,41 @@ def test_distances_reject_non_finite_points(bad, pos):
         point_set_distance(point, cloud([[0, 0], [1, 1]]))
 
 
+def test_distance_point_checks_name_the_point():
+    with pytest.raises(ValueError) as exc:
+        sup_norm_dist((0, 0), (np.nan, 1j))
+    assert str(exc.value) == "non-finite coordinate in z: [(nan+0j), 1j]"
+    with pytest.raises(ValueError) as exc:
+        point_set_distance((0, -np.inf), cloud([[0, 0]]))
+    assert str(exc.value) == "non-finite coordinate in w: [0j, (-inf+0j)]"
+    # An array of points is not one point: it must raise, not broadcast.
+    row = np.array([[0, 0]])
+    with pytest.raises(ValueError, match=r"^w has shape \(1, 2\), expected \(2,\)$"):
+        point_set_distance(row, cloud([[1, 1], [3, 3]]))
+    with pytest.raises(ValueError, match=r"^z has shape \(1, 2\), expected \(2,\)$"):
+        sup_norm_dist((0, 0), row)
+
+
+@st.composite
+def point_pairs(draw):
+    n = draw(st.integers(1, 4))
+    part = st.floats(-1e6, 1e6, allow_nan=False)
+    cnum = st.builds(complex, part, part)
+    point = st.lists(cnum, min_size=n, max_size=n)
+    return draw(point), draw(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_pairs())
+def test_pair_distance_is_one_value(pair):
+    # sup_norm_dist took Python's complex abs and the cloud distances NumPy's,
+    # which differ in the last bit on about a third of pairs.
+    w, z = pair
+    d = sup_norm_dist(w, z)
+    assert d == point_set_distance(w, cloud([z])) == hausdorff(cloud([w]), cloud([z]))
+    assert d == sup_norm_dist(z, w)
+
+
 def test_hausdorff_examples():
     W = cloud([[0, 0]])
     Z = cloud([[1, 2]])

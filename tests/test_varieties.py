@@ -76,6 +76,57 @@ def test_member_monotone_in_eps():
             assert v_eps_member(HYPERBOLA, w, e2)
 
 
+@st.composite
+def polys_and_points(draw):
+    """A 2-variable polynomial of degree at most 3 in each variable, and 1-8 points."""
+    part = st.floats(-2, 2, allow_nan=False)
+    cnum = st.builds(complex, part, part)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, cnum, min_size=1, max_size=6))
+    pts = draw(st.lists(st.tuples(cnum, cnum), min_size=1, max_size=8))
+    return SparsePoly(2, terms), np.array(pts, dtype=np.complex128)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_and_points())
+def test_member_gives_one_answer_alone_and_in_an_array(case):
+    # A point alone took Python's complex abs, an array NumPy's; they differ in
+    # the last bit, so at eps = |g(p)| a point alone could pass the strict test.
+    g, pts = case
+    vals = np.abs(g.evaluate(pts))
+    for k, p in enumerate(pts):
+        value = float(vals[k])
+        for eps in (value, float(np.nextafter(value, np.inf))):
+            if eps <= 0:
+                continue
+            batch = v_eps_member(g, pts, eps)
+            assert batch.tolist() == (vals < eps).tolist()
+            assert v_eps_member(g, p, eps) is v_eps_member(g, tuple(p), eps) is (eps > value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+@pytest.mark.parametrize("pos", [0, 1])
+def test_member_rejects_non_finite_points(bad, pos):
+    # v_eps_member(g, (nan, 0), 1.0) returned False instead of raising.
+    point = [0.5, 0.5j]
+    point[pos] = bad
+    with pytest.raises(ValueError, match=r"^non-finite coordinate in point: \["):
+        v_eps_member(HYPERBOLA, point, 1.0)
+    with pytest.raises(ValueError, match=r"^non-finite coordinate in point 1: \["):
+        v_eps_member(HYPERBOLA, np.array([[0.5, 0.5], point]), 1.0)
+
+
+def test_point_checks_name_the_point():
+    with pytest.raises(ValueError) as exc:
+        Hypercube(T=1.5, n=2).contains((np.nan, 0))
+    assert str(exc.value) == "non-finite coordinate in point: [(nan+0j), 0j]"
+    with pytest.raises(ValueError, match=r"^point has shape \(2, 2\), expected \(2,\)$"):
+        Hypercube(T=1.5, n=2).contains(np.zeros((2, 2)))
+    with pytest.raises(ValueError) as exc:
+        SampleCloud(np.array([[0.0, 1.0], [2.0, complex(0.0, np.inf)]]))
+    assert str(exc.value) == "non-finite coordinate in sample point 1: [(2+0j), infj]"
+
+
 # -- the coefficient budget -----------------------------------------------------
 
 
@@ -152,6 +203,18 @@ def test_hypercube_contains():
     assert not cube.contains((1.6, 0))
     with pytest.raises(ValueError):
         cube.contains((1.0,))
+
+
+def test_hypercube_contains_every_grid_axis_point():
+    # contains tested max|z| <= T without the window's 1e-12 relative slack,
+    # and refused 76 points of these axes, this one among them.
+    z = complex_grid_axis(1.5, 31)
+    assert -1.2 + 0.9000000000000004j in z
+    assert Hypercube(1.5, 1).contains((-1.2 + 0.9000000000000004j,))
+    for T in (0.5, 0.7, 1, 1.5, 2, 3, 12):
+        for grid in range(3, 80):
+            axis = complex_grid_axis(T, grid)
+            assert Hypercube(T, axis.size).contains(axis)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
