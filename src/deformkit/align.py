@@ -21,7 +21,9 @@ from .roots import (
     RootMultiset,
     UniPoly,
     _certify_row,
+    _start_phases,
     find_roots,
+    inclusion_radii,
     solve_batch,
 )
 
@@ -29,6 +31,9 @@ __all__ = ["Matching", "bottleneck_match", "is_eps_aligned", "empirical_modulus"
 
 # Halvings of the log-scale delta interval in ``empirical_modulus``.
 BISECTION_STEPS = 40
+# Distance of each trial's warm start from a root of f, relative to
+# ``max(1, max|root|)``.
+WARM_OFFSET = 1e-7
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,33 @@ def _nearest_is_matching(dist: np.ndarray, eps: float) -> np.ndarray:
     return within.all(axis=-1) & distinct
 
 
+def _warm_start(base: np.ndarray, trials: int) -> np.ndarray:
+    """Initial estimates (trials, m) for small deformations of f: each root
+    of f in ``base``, moved ``WARM_OFFSET * max(1, max|base|)`` along its own
+    start phase, so that roots of f closer than that still start apart."""
+    offset = WARM_OFFSET * max(1.0, float(np.abs(base).max()))
+    return np.broadcast_to(base + offset * _start_phases(base.size), (trials, base.size))
+
+
+def _settled(rows, roots, converged, dist, eps) -> np.ndarray:
+    """Per trial: whether every roots array inside the trial's inclusion
+    discs has the adjacency ``dist < eps`` of ``roots``.
+
+    That holds when the solve converged, the discs are pairwise disjoint
+    (so each holds exactly one true root), and every distance to a base
+    root clears eps by more than four radii of its trial root.
+    """
+    rho = inclusion_radii(rows, roots)
+    with np.errstate(invalid="ignore"):  # unconverged rows may hold NaN
+        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+        apart = gaps > rho[:, :, None] + rho[:, None, :]
+        diag = np.arange(roots.shape[1])
+        apart[:, diag, diag] = True
+        clear = np.abs(dist - eps) > 4.0 * rho[:, None, :] + 1e-15 * eps
+    isolated = np.isfinite(rho).all(axis=1) & apart.all(axis=(1, 2))
+    return converged & isolated & clear.all(axis=(1, 2))
+
+
 def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -> float:
     """Estimate the largest delta keeping random delta-deformations eps-aligned.
 
@@ -167,27 +199,52 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     and the whole estimate is deterministic per seed.  The returned value is
     the largest tested delta that passed.
 
-    Each candidate solves all its trials in one ``solve_batch`` call (rows
-    are independent, so each equals its one-row solve), then judges them in
-    trial order: the first unconverged trial raises, the first unaligned one
-    fails the candidate, and later trials are not judged.  A trial whose
-    nearest-root assignment is a bijection within eps is aligned; any other
-    one runs the matching of ``is_eps_aligned``.
+    Each candidate solves all its trials in one ``solve_batch`` call that
+    starts every trial a little off ``f``'s roots, where a small deformation
+    moves them.  A trial's verdict is taken from these warm roots only where
+    inclusion discs settle it (``_settled``): every roots array inside the
+    discs, the cold solve's included, has the same ``dist < eps`` adjacency.
+    The other trials up to the first settled unaligned one are solved again
+    from the default cold start in one batch (rows are independent, so each
+    equals its one-row solve), so every verdict, and ``delta``, is the one
+    that cold solves of all trials give.  Trials are then judged in trial
+    order: the first unconverged trial raises, the first unaligned one
+    fails the candidate, and later trials are not judged.  A trial raises
+    ``RootConvergenceError`` only when its cold solve fails, so a settled
+    trial never raises.  A trial whose nearest-root assignment is a
+    bijection within eps is aligned; any other one runs the matching of
+    ``is_eps_aligned``.
     """
     _require_positive("eps", eps)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base = np.array(find_roots(f).values(), dtype=np.complex128)
     noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
+    start = _warm_start(base, trials)
 
     def passes(delta: float) -> bool:
         rows = _deform(f, noises, delta)
         if not np.isfinite(rows.view(np.float64)).all():  # as UniPoly(row) rejects it
             raise ValueError("coefficients must be finite")
-        roots, res, converged = solve_batch(rows)
+        roots, res, converged = solve_batch(rows, z0=start)
         with np.errstate(invalid="ignore"):  # unconverged rows may hold NaN
             dist = np.abs(base[None, :, None] - roots[:, None, :])
             aligned = _nearest_is_matching(dist, eps)
+        # Settled verdicts in trial order up to the first unaligned one; the
+        # unsettled trials before it are solved again from the cold start.
+        settled = _settled(rows, roots, converged, dist, eps)
+        stop = trials
+        for trial in np.flatnonzero(settled & ~aligned).tolist():
+            aligned[trial] = _perfect_matching(dist[trial] < eps) is not None
+            if not aligned[trial]:
+                stop = trial
+                break
+        cold = np.flatnonzero(~settled[:stop])
+        if cold.size:
+            roots[cold], res[cold], converged[cold] = solve_batch(rows[cold])
+            with np.errstate(invalid="ignore"):
+                dist[cold] = np.abs(base[None, :, None] - roots[cold][:, None, :])
+                aligned[cold] = _nearest_is_matching(dist[cold], eps)
         for trial in np.flatnonzero(~(converged & aligned)).tolist():
             if not converged[trial]:  # _certify_row raises; name the trial
                 try:

@@ -91,7 +91,7 @@ class MultipleRootError(ValueError):
 
 
 def _check_order(order: int) -> int:
-    order = int(order)
+    order = operator.index(order)  # a float order is a TypeError, not truncated
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     return order

@@ -28,6 +28,7 @@ __all__ = [
     "RootConvergenceError",
     "find_roots",
     "cluster_multiplicities",
+    "inclusion_radii",
     "MAX_DEGREE",
     "MAX_SWEEPS",
     "CLUSTER_RADIUS",
@@ -41,6 +42,8 @@ INIT_ANGLE = math.sqrt(2.0)
 POLISH_STEPS = 2
 # Roots closer than this are one multiple root (``cluster_multiplicities``).
 CLUSTER_RADIUS = 1e-6
+# Unit roundoff of double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class RootConvergenceError(RuntimeError):
@@ -151,14 +154,18 @@ class RootMultiset:
         return out
 
 
+def _start_phases(m: int) -> np.ndarray:
+    """The m unit phases of the initial circle, rotated by ``INIT_ANGLE``."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(m) / m + INIT_ANGLE))
+
+
 def _initial_points_batch(coeffs: np.ndarray) -> np.ndarray:
     """Perturbed-circle estimates: Cauchy-bound radius, fixed rotation."""
     m = coeffs.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(coeffs[:, :-1] / coeffs[:, -1:])
     cauchy = 1.0 + ratios.max(axis=1)
-    phases = np.exp(1j * (2.0 * np.pi * np.arange(m) / m + INIT_ANGLE))
-    return cauchy[:, None] * phases[None, :]
+    return cauchy[:, None] * _start_phases(m)[None, :]
 
 
 def _polish_batch(coeffs: np.ndarray, roots: np.ndarray):
@@ -179,7 +186,7 @@ def _polish_batch(coeffs: np.ndarray, roots: np.ndarray):
     return roots, res
 
 
-def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
+def solve_batch(coeffs: np.ndarray, tol: float = 1e-12, z0: np.ndarray | None = None):
     """Root-find a batch of same-degree polynomials (ascending coefficients).
 
     Returns ``(roots (B, m), residuals (B, m), converged (B,))``.  Rows are
@@ -187,9 +194,13 @@ def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
     whose roots or residuals are not all finite counts as unconverged, and so
     does a row holding two equal roots: two iterates that collided certify
     one root twice and miss another.
+
+    ``z0`` (B, m) gives the initial estimates; by default they lie on the
+    rotated Cauchy circle.  Different starts can give different last bits.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    z0 = _initial_points_batch(coeffs)
+    if z0 is None:
+        z0 = _initial_points_batch(coeffs)
     # Horner overflows on rows with a huge coefficient; those rows come out
     # non-finite and are reported unconverged, so the warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,6 +210,36 @@ def solve_batch(coeffs: np.ndarray, tol: float = 1e-12):
     ordered = np.sort(roots, axis=1)
     converged &= ~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     return roots, res, converged
+
+
+def inclusion_radii(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Radii (B, m) of discs around a batch's approximate roots that hold its
+    true roots.
+
+    Row b's disc j is centred at ``z_j = roots[b, j]`` with radius
+    ``m (|p(z_j)| + gamma sum_k |a_k| |z_j|^k) / (|a_m| prod_{k != j} |z_j - z_k|)``,
+    where ``gamma = 4 (m + 1) u`` bounds the rounding of the computed
+    ``p(z_j)``; the radius is inflated by ``1 + 1e-6`` for the rounding of
+    the product and quotient.  These are ``m`` times the Weierstrass
+    corrections: the discs cover every root of p, and a connected union of
+    k discs holds exactly k roots (Carstensen 1991, Numer. Math. 59), so
+    where the discs of a row are pairwise disjoint each holds exactly one
+    root.  Equal or non-finite iterates give a radius that is not finite.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    roots = np.asarray(roots, dtype=np.complex128)
+    m = roots.shape[1]
+    gamma = 4 * (m + 1) * _UNIT_ROUNDOFF
+    diag = np.arange(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, _ = _kernels.horner(coeffs, roots)
+        noise, _ = _kernels.horner(np.abs(coeffs), np.abs(roots))
+        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+        gaps[:, diag, diag] = 1.0
+        lead = np.abs(coeffs[:, -1:])
+        rho = m * (np.abs(p) + gamma * noise) / (lead * gaps.prod(axis=2))
+        rho *= 1.0 + 1e-6
+    return np.where(np.isnan(rho), np.inf, rho)
 
 
 def _certify_row(

@@ -121,6 +121,7 @@ class SampleCloud:
         if arr.ndim != 2:
             raise ValueError("points must be a 2-D array of shape (count, n)")
         _finite_points(arr, "sample point")
+        arr = arr.view()  # read-only without freezing the caller's array
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
         object.__setattr__(self, "label", str(label))

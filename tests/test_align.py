@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deformkit import (
     UniPoly,
@@ -199,28 +201,42 @@ def test_matching_serialization():
 
 
 def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=None):
-    """Route align's batched solves through the real one, but in the first
-    batch move trial ``unaligned`` far away, flag trial ``unconverged`` and
-    give trial 0 the roots ``trial0``.  Returns the list of batch sizes seen."""
+    """Route align's batched solves through the real one, but in every solve
+    of the first bisection step (the warm batch of all trials and the cold
+    batch of the unsettled ones) move trial ``unaligned`` far away, flag
+    trial ``unconverged`` and give trial 0 the roots ``trial0``.  Returns
+    the solves seen: whether each was warm, its trial numbers, rows and output."""
+    from types import SimpleNamespace
+
     from deformkit import align as align_mod
 
     real = align_mod.solve_batch
-    sizes = []
+    calls = []
 
-    def tampered(coeffs, tol=1e-12):
-        roots, res, converged = real(coeffs, tol)
-        if not sizes:
-            if unaligned is not None:
-                roots[unaligned] += 10.0
-            if unconverged is not None:
-                converged[unconverged] = False
-            if trial0 is not None:
-                roots[0] = trial0
-        sizes.append(len(coeffs))
+    def tampered(coeffs, tol=1e-12, z0=None):
+        roots, res, converged = real(coeffs, tol, z0=z0)
+        if z0 is not None:  # a warm batch of all trials opens each step
+            step_rows = coeffs
+            trials = np.arange(len(coeffs))
+        else:
+            step_rows = next(c.coeffs for c in reversed(calls) if c.warm)
+            trials = np.array([np.flatnonzero((step_rows == row).all(axis=1))[0] for row in coeffs])
+        first_step = sum(c.warm for c in calls) + (z0 is not None) == 1
+        for k, trial in enumerate(trials.tolist()):
+            if first_step and trial == unaligned:
+                roots[k] += 10.0
+            if first_step and trial == unconverged:
+                converged[k] = False
+            if first_step and trial == 0 and trial0 is not None:
+                roots[k] = trial0
+        calls.append(
+            SimpleNamespace(warm=z0 is not None, trials=trials, coeffs=coeffs.copy(),
+                            out=(roots.copy(), res.copy(), converged.copy()))
+        )
         return roots, res, converged
 
     monkeypatch.setattr(align_mod, "solve_batch", tampered)
-    return sizes
+    return calls
 
 
 def test_modulus_propagates_solver_failure_with_context(monkeypatch):
@@ -272,22 +288,43 @@ def test_modulus_fails_a_trial_with_no_matching(monkeypatch):
 
 
 def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
+    # One warm batch of all trials per step, then at most one cold batch
+    # that holds only trials the warm roots left unsettled, in trial order.
     from deformkit import align as align_mod
     from deformkit import roots as roots_mod
 
-    steps = tamper_first_batch(monkeypatch)  # counts align's batches only
+    calls = tamper_first_batch(monkeypatch)  # records align's batches only
     real = roots_mod.solve_batch
     base = []
 
-    def counted(coeffs, tol=1e-12):
+    def counted(coeffs, tol=1e-12, z0=None):
         base.append(len(coeffs))
-        return real(coeffs, tol)
+        return real(coeffs, tol, z0=z0)
 
     monkeypatch.setattr(roots_mod, "solve_batch", counted)
-    empirical_modulus(UniPoly([-1, 0, 1]), eps=0.01, trials=7)
+    f = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])  # Wilkinson-10, scaled
+    empirical_modulus(f, eps=0.01, trials=7)
     assert base == [1]  # the base solve, through find_roots
-    # The feasibility check at 1e-12, then one batch per halving.
-    assert steps == [7] * (align_mod.BISECTION_STEPS + 1)
+    roots = np.array(find_roots(f).values())
+    steps = []
+    for call in calls:
+        if call.warm:
+            steps.append([call])
+        else:
+            steps[-1].append(call)
+    # The feasibility check at 1e-12, then one step per halving.
+    assert len(steps) == align_mod.BISECTION_STEPS + 1
+    for warm, *cold in steps:
+        assert warm.trials.tolist() == list(range(7))
+        assert len(cold) <= 1
+        if cold:
+            trials = cold[0].trials
+            assert trials.size and (np.diff(trials) > 0).all()
+            got, _, converged = warm.out
+            dist = np.abs(roots[None, :, None] - got[:, None, :])
+            settled = align_mod._settled(warm.coeffs, got, converged, dist, 0.01)
+            assert not settled[trials].any()
+    assert any(cold for _, *cold in steps)  # some steps fell back to cold solves
 
 
 # -- batched trials against the earlier sequential bisection -----------------------
@@ -362,6 +399,78 @@ def test_batched_modulus_equals_sequential_bit_for_bit():
         want = sequential_modulus(f, 0.01, trials=20, seed=11)
         got = empirical_modulus(f, 0.01, trials=20, seed=11)
         assert got.hex() == want.hex(), name
+
+
+def test_modulus_falls_back_to_a_cold_solve_when_a_warm_solve_fails(monkeypatch):
+    from deformkit import align as align_mod
+
+    f = UniPoly([0.3 - 0.2j, -1, 0.5j, 1])
+    want = sequential_modulus(f, 0.01, trials=5, seed=3)
+    real = align_mod.solve_batch
+    steps = []
+
+    def failing_warm(coeffs, tol=1e-12, z0=None):
+        roots, res, converged = real(coeffs, tol, z0=z0)
+        if z0 is not None:  # trial 3's warm solve fails at every step
+            roots[3] = np.nan
+            converged[3] = False
+            steps.append((coeffs.copy(), []))
+        else:
+            steps[-1][1].append(coeffs.copy())
+        return roots, res, converged
+
+    monkeypatch.setattr(align_mod, "solve_batch", failing_warm)
+    got = empirical_modulus(f, 0.01, trials=5, seed=3)
+    assert got.hex() == want.hex()
+    # Each step re-solves at most one batch, of its own trials; trial 3 is
+    # among them unless a settled trial before it fails the step first.
+    assert len(steps) == align_mod.BISECTION_STEPS + 1
+    with_trial3 = 0
+    for warm, cold in steps:
+        assert len(cold) <= 1
+        for rows in cold:
+            assert all((warm == row).all(axis=1).any() for row in rows)
+            with_trial3 += (rows == warm[3]).all(axis=1).any()
+    assert with_trial3 >= align_mod.BISECTION_STEPS // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.integers(2, 10),
+    gap=st.sampled_from([1.0, 1e-2, 1e-3, 1e-4]),
+    log_delta=st.floats(-12.0, -2.0),
+    eps=st.sampled_from([1e-3, 1e-2, 1e-1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, eps, seed):
+    """Where the discs settle a trial, its cold solve gives the same
+    ``dist < eps`` adjacency, column for column through the discs."""
+    from deformkit.align import _settled, _warm_start
+    from deformkit.roots import RootConvergenceError, solve_batch
+
+    rng = np.random.default_rng(seed)
+    want = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    k = min(degree, 3)  # a cluster of up to three roots ``gap`` apart
+    want[1:k] = want[0] + gap * np.exp(2j * np.pi * rng.random(k - 1))
+    f = UniPoly(np.poly(want)[::-1])
+    try:
+        base = np.array(find_roots(f).values())
+    except RootConvergenceError:
+        assume(False)
+    trials = 8
+    noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
+    rows = _deform(f, noises, 10.0**log_delta)
+    warm, _, warm_ok = solve_batch(rows, z0=_warm_start(base, trials))
+    with np.errstate(invalid="ignore"):
+        dist = np.abs(base[None, :, None] - warm[:, None, :])
+    settled = _settled(rows, warm, warm_ok, dist, eps)
+    cold, _, cold_ok = solve_batch(rows)
+    for t in np.flatnonzero(settled).tolist():
+        assert cold_ok[t]
+        owner = np.abs(cold[t][:, None] - warm[t][None, :]).argmin(axis=1)
+        assert sorted(owner.tolist()) == list(range(degree))  # one cold root per disc
+        cold_dist = np.abs(base[:, None] - cold[t][None, :])
+        assert ((cold_dist < eps) == (dist[t][:, owner] < eps)).all()
 
 
 # -- the iterative matching against the earlier recursive search -------------------

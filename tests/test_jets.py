@@ -115,6 +115,16 @@ def test_order_bounds_validated():
         Jet.constant(1, order=33)
 
 
+def test_fractional_order_is_refused_not_truncated():
+    f = UniPoly([-1, 0, 1])
+    g = JetPoly(1, {(0,): Jet(0, [-1, 1], 1), (2,): Jet.constant(1, 1)}, 1)
+    with pytest.raises(TypeError):
+        jet_align_roots(f, g, order=1.9)
+    with pytest.raises(TypeError):
+        Jet.constant(1, order=2.0)
+    assert Jet.constant(1, order=np.int64(2)).order == 2
+
+
 # -- standard part and closeness ---------------------------------------------------
 
 

@@ -350,3 +350,89 @@ def test_unipoly_is_the_shared_horner():
             assert poly(z) == p[0, 0]
             assert poly.deriv_at(z) == dp[0, 0]
             assert type(poly(z)) is complex and type(poly.deriv_at(z)) is complex
+
+
+# -- inclusion discs against exactly known roots -----------------------------------
+
+
+def exact_coeffs(roots):
+    """Ascending coefficients of prod (t - r) over roots given as (re, im)
+    pairs of Fractions, computed exactly; each must be exact in float."""
+    from fractions import Fraction
+
+    coeffs = [(Fraction(1), Fraction(0))]
+    for rr, ri in roots:
+        shifted = [(Fraction(0), Fraction(0))] + coeffs  # t * p
+        for k, (cr, ci) in enumerate(coeffs):  # minus r * p
+            sr, si = shifted[k]
+            shifted[k] = (sr - (rr * cr - ri * ci), si - (rr * ci + ri * cr))
+        coeffs = shifted
+    out = np.array([complex(float(cr), float(ci)) for cr, ci in coeffs])
+    exact = [(Fraction(z.real), Fraction(z.imag)) for z in out]
+    assert exact == coeffs
+    return out
+
+
+def gaussian(*pairs, scale=1):
+    from fractions import Fraction
+
+    return [(Fraction(a) * scale, Fraction(b) * scale) for a, b in pairs]
+
+
+EXACT_ROOTS = {
+    "integers": gaussian((1, 0), (-2, 0), (3, 0), (0, 0), (-1, 0)),
+    "gaussian": gaussian((1, 1), (-2, 1), (0, -3), (2, -1), (-1, -2), (3, 2)),
+    # four roots 2**-10 (about 1e-3) around 1, and a near-double pair 2**-13
+    # (about 1.2e-4) apart; dyadic, so the coefficients stay exact
+    "cluster": gaussian((1, 0), (1025, 0), (1024, 1), (1024, -1), scale=2**-10)
+    + gaussian((-2, 1), (0, -1)),
+    "near-double": gaussian((8192, 0), (8193, 0), scale=2**-13) + gaussian((-1, 1), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_ROOTS)
+def test_inclusion_discs_hold_the_exact_roots(name):
+    from deformkit.roots import inclusion_radii
+
+    true = np.array([complex(float(a), float(b)) for a, b in EXACT_ROOTS[name]])
+    coeffs = exact_coeffs(EXACT_ROOTS[name])[None, :]
+    m = true.size
+    solved, _, converged = solve_batch(coeffs)
+    assert converged[0]
+    # the solved roots, and coarser approximations whose discs are wide
+    phases = np.exp(2j * np.pi * np.arange(m) / m + 0.3j)
+    for shift in (0.0, 1e-9, 1e-6, 1e-4):
+        z = solved + shift * phases
+        rho = inclusion_radii(coeffs, z)[0]
+        assert np.isfinite(rho).all()
+        inside = np.abs(true[:, None] - z[0][None, :]) <= rho[None, :]
+        assert inside.any(axis=1).all(), (name, shift)  # every root is covered
+        gaps = np.abs(z[0][:, None] - z[0][None, :]) + np.diag(np.full(m, np.inf))
+        isolated = (gaps > rho[:, None] + rho[None, :]).all()
+        # a shift near the pair's gap of 1.2e-4 merges the near-double discs
+        assert isolated == (shift <= 1e-6 or name != "near-double"), (name, shift)
+        if isolated:  # each disc holds exactly one root
+            assert (inside.sum(axis=0) == 1).all(), (name, shift)
+    rho = inclusion_radii(coeffs, solved)[0]
+    assert rho.max() < 1e-6  # the solved roots' discs are isolated and tight
+
+
+def test_inclusion_radii_are_infinite_at_equal_or_non_finite_iterates():
+    from deformkit.roots import inclusion_radii
+
+    coeffs = np.array([[-1, 0, 1], [-1, 0, 1]], dtype=np.complex128)
+    z = np.array([[0.5, 0.5], [np.nan, 1.0]], dtype=np.complex128)
+    assert np.isinf(inclusion_radii(coeffs, z)).all()
+
+
+def test_solve_batch_from_given_starts():
+    coeffs = np.array([[-1, 0, 1], [6, -5, 1]], dtype=np.complex128)
+    cold = solve_batch(coeffs)
+    roots, res, converged = solve_batch(coeffs, z0=np.array([[-0.9, 1.1], [2.1, 2.9]]))
+    assert converged.all()
+    assert np.allclose(np.sort_complex(roots), np.sort_complex(cold[0]))
+    # the default start is the rotated Cauchy circle, bit for bit
+    from deformkit.roots import _initial_points_batch
+
+    again = solve_batch(coeffs, z0=_initial_points_batch(coeffs))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, cold))

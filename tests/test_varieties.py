@@ -875,6 +875,15 @@ def test_cloud_rejects_non_finite_points(bad):
         SampleCloud.from_csv(text)
 
 
+def test_cloud_is_read_only_without_freezing_the_callers_array():
+    a = np.zeros((2, 2), dtype=np.complex128)
+    cloud = SampleCloud(a)
+    a[0, 0] = 1  # the caller's array stays writable
+    assert cloud.points[0, 0] == 1  # a view, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        cloud.points[0, 0] = 2
+
+
 def test_cloud_csv_rejects_bad_width():
     with pytest.raises(ValueError):
         SampleCloud.from_csv("re_1,im_1\n1.0,2.0,3.0\n")
