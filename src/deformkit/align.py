@@ -21,9 +21,9 @@ from .roots import (
     RootMultiset,
     UniPoly,
     _certify_row,
+    _radii_and_gaps,
     _start_phases,
     find_roots,
-    inclusion_radii,
     solve_batch,
 )
 
@@ -178,9 +178,8 @@ def _settled(rows, roots, converged, dist, eps) -> np.ndarray:
     (so each holds exactly one true root), and every distance to a base
     root clears eps by more than four radii of its trial root.
     """
-    rho = inclusion_radii(rows, roots)
+    rho, gaps = _radii_and_gaps(rows, roots)
     with np.errstate(invalid="ignore"):  # unconverged rows may hold NaN
-        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
         apart = gaps > rho[:, :, None] + rho[:, None, :]
         diag = np.arange(roots.shape[1])
         apart[:, diag, diag] = True

@@ -226,6 +226,12 @@ def inclusion_radii(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     where the discs of a row are pairwise disjoint each holds exactly one
     root.  Equal or non-finite iterates give a radius that is not finite.
     """
+    return _radii_and_gaps(coeffs, roots)[0]
+
+
+def _radii_and_gaps(coeffs: np.ndarray, roots: np.ndarray):
+    """``inclusion_radii`` and the (B, m, m) pairwise gaps ``|z_j - z_k|``
+    it divides by, with 1 on the diagonal."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     roots = np.asarray(roots, dtype=np.complex128)
     m = roots.shape[1]
@@ -233,13 +239,13 @@ def inclusion_radii(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     diag = np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, _ = _kernels.horner(coeffs, roots)
-        noise, _ = _kernels.horner(np.abs(coeffs), np.abs(roots))
+        noise = _kernels.noise_scale(np.abs(coeffs), np.abs(roots))
         gaps = np.abs(roots[:, :, None] - roots[:, None, :])
         gaps[:, diag, diag] = 1.0
         lead = np.abs(coeffs[:, -1:])
         rho = m * (np.abs(p) + gamma * noise) / (lead * gaps.prod(axis=2))
         rho *= 1.0 + 1e-6
-    return np.where(np.isnan(rho), np.inf, rho)
+    return np.where(np.isnan(rho), np.inf, rho), gaps
 
 
 def _certify_row(

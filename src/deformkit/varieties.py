@@ -337,6 +337,41 @@ def _sampling_grid(nvars: int, T: float, axis: int | None, grid: int, tol: float
     return complex_grid_axis(T, grid)
 
 
+def _root_free(rows: np.ndarray, T: float, limit: float) -> np.ndarray:
+    """Per fiber row ``a`` (ascending coefficients, degree m): whether every
+    root the solver could return fails ``sample_hypersurface``'s keep rule,
+    so that solving the row cannot add a point.
+
+    A kept root z has a computed ``|z| <= T (1 + 1e-12)``; the rounding of
+    that test is far below the extra 1e-12 in ``R = T (1 + 2e-12)``, so
+    ``|z| <= R``, and there
+    ``|p(z)| >= A_0 - sum_{k>=1} A_k |z|^k >= 2 A_0 - S`` with ``A_k = |a_k|``
+    and ``S = sum_k A_k R^k`` (``_kernels.noise_scale``).  The row is
+    root-free when ``2 A_0 - S - 8 (m + 2) u S - sqrt(tiny) > limit``:
+
+    - Horner's computed p(z) lies within ``(1 + sqrt(2) gamma_2)^m (1 + u)^m
+      - 1 ~ 3.83 m u`` times S of p(z) (Higham 2002, §3.6 and §5.1), and
+      the computed modulus adds 2u;
+    - the computed S and ``2 A_0`` lie within ``(2m + 2) u S`` and
+      ``4 u S`` of their values, and the three subtractions and the margin's
+      product add ``3 u S``;
+
+    together at most ``(5.83 m + 11.1) u S < 8 (m + 2) u S``, so every
+    computed residual exceeds ``limit``.  ``sqrt(tiny)`` covers underflow:
+    a row with ``S`` below it is never skipped, and above it the absolute
+    error of underflowing products is far below the relative margin's
+    slack.  ``2 A_0 - S`` is formed as ``A_0 - (S - A_0)``, which cannot
+    overflow while S is finite; a NaN or inf in the bound compares false,
+    so such a row is solved.
+    """
+    A = np.abs(rows)
+    margin = 8 * (rows.shape[1] + 1) * _kernels._UNIT
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _kernels.noise_scale(A, T * (1.0 + 2e-12))[:, 0]
+        bound = A[:, 0] - (S - A[:, 0]) - (margin * S + _kernels._TINY_SQRT)
+    return bound > limit
+
+
 def sample_hypersurface(
     f: SparsePoly,
     T: float,
@@ -351,8 +386,10 @@ def sample_hypersurface(
     None) and solved; roots of modulus
     at most ``T`` whose full residual ``|f(z)|`` stays within ``tol`` times
     the documented scale are kept.  Fibers whose leading coefficient
-    collapses (degree drop) are skipped and counted in ``meta``, as are
-    fibers where the solver failed to converge.
+    collapses (degree drop) are skipped and counted in ``meta``.  Fibers
+    that ``_root_free`` certifies to keep no point are not solved, so
+    ``meta["fibers_unconverged"]`` counts the solved fibers where the solver
+    failed to converge.
     """
     if f.is_zero():
         raise ValueError("cannot sample the zero polynomial")
@@ -377,11 +414,13 @@ def sample_hypersurface(
     C[:, powers] = partial.T
 
     good = np.flatnonzero(np.abs(C[:, m]) >= DEGENERATE_LEAD_TOL)
-    roots, res, converged = solve_batch(C[good])
-    keep = _in_window(roots, T) & (res <= tol * scale)
+    limit = tol * scale
+    solved = good[~_root_free(C[good], T, limit)]
+    roots, res, converged = solve_batch(C[solved])
+    keep = _in_window(roots, T) & (res <= limit)
     rows, cols = np.nonzero(keep)
     points = np.empty((rows.size, n), dtype=np.complex128)
-    points[:, other] = _grid_points(good[rows], fiber_axes)
+    points[:, other] = _grid_points(solved[rows], fiber_axes)
     points[:, j] = roots[rows, cols]
 
     return SampleCloud(

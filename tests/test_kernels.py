@@ -356,6 +356,18 @@ def test_horner_matches_unipoly():
                     assert abs(got_dp - want_dp) <= 8 * deg * EPS * dp_scale
 
 
+def test_noise_scale_has_the_bits_of_horner_on_moduli():
+    rng = np.random.default_rng(8)
+    for deg in (1, 4, 12, 32):
+        abs_coeffs = np.abs(rng.normal(size=(5, deg + 1))) * 10.0 ** rng.uniform(-8, 8, (5, 1))
+        r = np.abs(rng.normal(size=(5, 3))) * 2.0
+        want = _kernels.horner(abs_coeffs, r)[0]
+        assert _kernels.noise_scale(abs_coeffs, r).tobytes() == want.tobytes()
+        one = _kernels.noise_scale(abs_coeffs, 1.5)  # one modulus for every row
+        assert one.shape == (5, 1)
+        assert one.tobytes() == _kernels.horner(abs_coeffs, np.full((5, 1), 1.5))[0].tobytes()
+
+
 def batch_problem(rng, B, deg):
     coeffs = rng.normal(size=(B, deg + 1)) + 1j * rng.normal(size=(B, deg + 1))
     coeffs[:, -1] += 2.5
@@ -460,3 +472,35 @@ def test_aberth_rows_equal_their_one_row_calls_and_the_reference():
     for row, one in enumerate(ones):
         for a, b in zip(got, one):
             assert a[row].tobytes() == b[0].tobytes(), row
+
+
+@pytest.mark.parametrize("deg", [3, 10])
+def test_rows_retiring_at_different_sweeps_keep_their_one_row_results(deg):
+    # An easy row, a clustered row (Wilkinson-10 at degree 10), 3 t^deg (40
+    # sweeps at degree 3), t^deg + 1e40 (at degree 10 its iterates become
+    # NaN and it runs to the cap) and a row with collided iterates: in every row order each row returns
+    # exactly its one-row roots, sweeps and converged flag.
+    rng = np.random.default_rng(deg)
+    easy = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    easy[-1] += 2.5
+    clustered = np.poly(np.arange(1, deg + 1) / 10.0)[::-1]
+    slow = [0] * deg + [3]
+    huge = [1e40] + [0] * (deg - 1) + [1]
+    collided = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    coeffs = np.vstack([easy, clustered, slow, huge, collided]).astype(complex)
+    z0 = _initial_points_batch(coeffs)
+    z0[4, 2] = z0[4, 0]
+    with np.errstate(all="ignore"):
+        ones = [_kernels.aberth_batch(coeffs[b : b + 1], z0[b : b + 1], 1e-12, 200)
+                for b in range(len(coeffs))]
+        sweeps = [int(one[1][0]) for one in ones]
+        assert len(set(sweeps)) >= 4  # rows retire at different sweeps
+        if deg == 3:
+            assert sweeps[2] == 40
+        else:
+            assert sweeps[3] == 200 and not ones[3][2][0] and np.isnan(ones[3][0]).any()
+        for order in itertools.permutations(range(len(coeffs))):
+            got = _kernels.aberth_batch(coeffs[list(order)], z0[list(order)], 1e-12, 200)
+            for row, b in enumerate(order):
+                for a, want in zip(got, ones[b]):
+                    assert a[row].tobytes() == want[0].tobytes(), (order, b)

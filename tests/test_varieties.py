@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deformkit import (
@@ -29,7 +29,7 @@ from deformkit import (
     v_eps_member,
     variety_jet_check,
 )
-from deformkit import _kernels
+from deformkit import _kernels, varieties
 from deformkit.jets import (
     INFINITE,
     hensel_lift_root,
@@ -37,8 +37,14 @@ from deformkit.jets import (
     lift_fibers,
     standard_part,
 )
-from deformkit.roots import UniPoly, find_roots
-from deformkit.varieties import _grid_points, eval_at_points
+from deformkit.polynomials import degree_and_support
+from deformkit.roots import UniPoly, find_roots, solve_batch
+from deformkit.varieties import (
+    DEGENERATE_LEAD_TOL,
+    _grid_points,
+    _term_arrays,
+    eval_at_points,
+)
 
 
 def sp(nvars, terms):
@@ -461,6 +467,112 @@ def test_sample_rejects_constant_axis():
         sample_hypersurface(f, T=1.0, axis=2, grid=5)
     with pytest.raises(ValueError):
         sample_hypersurface(f, T=1.0, axis=3, grid=5)
+
+
+def sample_every_fiber(f, T, axis, grid, tol):
+    """Oracle: ``sample_hypersurface`` as it was before fibers certified
+    root-free were skipped, solving every non-degenerate fiber."""
+    n, j = f.nvars, axis - 1
+    m = f.degree_in(j)
+    d, support = degree_and_support(f)
+    scale = 1.0 + f.coeff_inf_norm() * support * float(max(T, 1.0)) ** d
+    other = [k for k in range(n) if k != j]
+    fiber_axes = [complex_grid_axis(T, grid)] * len(other)
+    exps, coeffs = _term_arrays(f)
+    powers, partial = _kernels.fiber_split(exps[:, other + [j]], coeffs, fiber_axes)
+    C = np.zeros((partial.shape[1], m + 1), dtype=np.complex128)
+    C[:, powers] = partial.T
+    good = np.flatnonzero(np.abs(C[:, m]) >= DEGENERATE_LEAD_TOL)
+    roots, res, converged = solve_batch(C[good])
+    keep = (np.abs(roots) <= T * (1.0 + 1e-12)) & (res <= tol * scale)
+    rows, cols = np.nonzero(keep)
+    points = np.empty((rows.size, n), dtype=np.complex128)
+    points[:, other] = _grid_points(good[rows], fiber_axes)
+    points[:, j] = roots[rows, cols]
+    meta = {
+        "fibers_total": len(C),
+        "fibers_degenerate": len(C) - good.size,
+        "fibers_unconverged": int((~converged).sum()),
+        "points_kept": rows.size,
+        "max_residual": float(res[rows, cols].max(initial=0.0)),
+        "residual_scale": scale,
+        "tol": tol,
+    }
+    return points, meta
+
+
+@st.composite
+def sampling_cases(draw):
+    """A polynomial in 1-3 variables (total degree <= 4, coefficients of one
+    scale from 1e-13 to 1e3), a sampled variable and the sampling options.
+    A constant term of up to 8 moves many fibers' roots out of the window."""
+    n = draw(st.integers(1, 3))
+    part = st.floats(-1, 1, allow_nan=False)
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
+    terms = draw(st.dictionaries(exps, st.builds(complex, part, part), min_size=1, max_size=6))
+    zero = (0,) * n
+    terms[zero] = terms.get(zero, 0j) + draw(st.sampled_from([0.0, 1.0, 2.0, 8.0]))
+    scale = 10.0 ** draw(st.floats(-13, 3))
+    f = SparsePoly(n, {e: c * scale for e, c in terms.items()})
+    live = [k + 1 for k in range(n) if f.degree_in(k) > 0]
+    assume(live)
+    axis = draw(st.sampled_from(live))
+    T = draw(st.floats(0.5, 3))
+    grid = draw(st.integers(3, 7 if n == 3 else 13))
+    tol = 10.0 ** draw(st.floats(-12, -1))
+    return f, T, axis, grid, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampling_cases())
+def test_skipped_fibers_change_no_point_and_no_meta(case):
+    f, T, axis, grid, tol = case
+    cloud = sample_hypersurface(f, T, axis, grid, tol)
+    points, meta = sample_every_fiber(f, T, axis, grid, tol)
+    assert cloud.points.tobytes() == points.tobytes()
+    assert cloud.meta == meta
+
+
+def solved_rows(monkeypatch):
+    """Record the fiber rows ``sample_hypersurface`` hands to the solver."""
+    seen = []
+
+    def spy(C, *args, **kwargs):
+        seen.extend(map(tuple, C))
+        return solve_batch(C, *args, **kwargs)
+
+    monkeypatch.setattr(varieties, "solve_batch", spy)
+    return seen
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+def test_fiber_with_a_root_on_the_window_edge_is_solved_and_kept(monkeypatch, T):
+    # t2 - t1 on the fiber t1 = T has its root at t2 = T, and t^2 + T^2 has
+    # both roots on the circle |t| = T.
+    seen = solved_rows(monkeypatch)
+    cloud = sample_hypersurface(DIAGONAL, T, axis=2, grid=3)
+    edge = cloud.points[cloud.points[:, 0] == T]
+    assert len(edge) == 1 and abs(edge[0, 1] - T) <= 1e-15 * T
+    cloud = sample_hypersurface(sp(1, {(2,): 1.0, (0,): T * T}), T, axis=1, grid=3)
+    assert len(seen) == 5 + 1 and len(cloud) == 2
+    assert np.allclose(np.abs(cloud.points), T)
+
+
+def test_fiber_just_under_the_skip_threshold_is_solved_and_just_over_is_skipped(monkeypatch):
+    # One fiber, a0 + t with a0 >= 1 (n = 1, T = 1): the rule skips it when
+    # 2 a0 - S - 8 (m + 2) u S - sqrt(tiny) > tol * scale, with
+    # S = a0 + R, R = 1 + 2e-12, m = 1 and scale = 1 + 2 a0.
+    u, tol, R = float(np.finfo(np.float64).eps) / 2, 1e-3, 1.0 + 2e-12
+    c = 24 * u
+    a0 = (tol + R * (1 + c)) / (1 - c - 2 * tol)  # where both sides are equal
+    for factor, solved in ((1 - 1e-12, True), (1 + 1e-12, False)):
+        seen = solved_rows(monkeypatch)
+        f = sp(1, {(1,): 1.0, (0,): a0 * factor})
+        cloud = sample_hypersurface(f, 1.0, axis=1, grid=3, tol=tol)
+        assert (len(seen) == 1) == solved
+        assert len(cloud) == 0 and cloud.meta["fibers_unconverged"] == 0
+        # Solving the skipped fiber anyway keeps no point either.
+        assert len(sample_every_fiber(f, 1.0, 1, 3, tol)[0]) == 0
 
 
 # -- containment ---------------------------------------------------------------------
