@@ -162,7 +162,9 @@ def _start_phases(m: int) -> np.ndarray:
 def _initial_points_batch(coeffs: np.ndarray) -> np.ndarray:
     """Perturbed-circle estimates: Cauchy-bound radius, fixed rotation."""
     m = coeffs.shape[1] - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A tiny lead or a huge coefficient makes the radius inf; the row then
+    # fails to converge, so the warnings carry nothing.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = np.abs(coeffs[:, :-1] / coeffs[:, -1:])
     cauchy = 1.0 + ratios.max(axis=1)
     return cauchy[:, None] * _start_phases(m)[None, :]
@@ -325,7 +327,8 @@ def cluster_multiplicities(r: RootMultiset, radius: float = CLUSTER_RADIUS) -> R
     if r.poly is not None:
         scale = max(1.0, float(np.max(np.abs(r.poly.coeffs))))
         centroids = np.array([[v for v, _ in merged]], dtype=np.complex128)
-        values, _ = _kernels.horner(r.poly.coeffs[None, :], centroids)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf bound
+            values, _ = _kernels.horner(r.poly.coeffs[None, :], centroids)
         bound = float(np.abs(values).max(initial=0.0)) / scale
     else:
         bound = r.residual_bound

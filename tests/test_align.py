@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import warnings
 import subprocess
 import sys
 
@@ -201,11 +202,13 @@ def test_matching_serialization():
 
 
 def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=None):
-    """Route align's batched solves through the real one, but in every solve
-    of the first bisection step (the warm batch of all trials and the cold
-    batch of the unsettled ones) move trial ``unaligned`` far away, flag
-    trial ``unconverged`` and give trial 0 the roots ``trial0``.  Returns
-    the solves seen: whether each was warm, its trial numbers, rows and output."""
+    """Route align's batched solves through the real one, but wherever a row
+    of the first bisection step (delta = 1e-12) is solved, in the warm batch
+    of all trials or in a cold batch, move trial ``unaligned`` far away, flag
+    trial ``unconverged`` and give trial 0 the roots ``trial0``.  Rows at
+    other deltas, which a cold batch also solves ahead, are left alone.
+    Returns the solves seen: whether each was warm, its rows, its initial
+    estimates and its output."""
     from types import SimpleNamespace
 
     from deformkit import align as align_mod
@@ -215,28 +218,74 @@ def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=Non
 
     def tampered(coeffs, tol=1e-12, z0=None):
         roots, res, converged = real(coeffs, tol, z0=z0)
-        if z0 is not None:  # a warm batch of all trials opens each step
-            step_rows = coeffs
-            trials = np.arange(len(coeffs))
-        else:
-            step_rows = next(c.coeffs for c in reversed(calls) if c.warm)
-            trials = np.array([np.flatnonzero((step_rows == row).all(axis=1))[0] for row in coeffs])
-        first_step = sum(c.warm for c in calls) + (z0 is not None) == 1
-        for k, trial in enumerate(trials.tolist()):
-            if first_step and trial == unaligned:
+        first = calls[0].coeffs if calls else coeffs  # the first step's warm batch
+        for k, row in enumerate(coeffs):
+            trial = np.flatnonzero((first == row).all(axis=1)).tolist()
+            if trial == [unaligned]:
                 roots[k] += 10.0
-            if first_step and trial == unconverged:
+            if trial == [unconverged]:
                 converged[k] = False
-            if first_step and trial == 0 and trial0 is not None:
+            if trial == [0] and trial0 is not None:
                 roots[k] = trial0
         calls.append(
-            SimpleNamespace(warm=z0 is not None, trials=trials, coeffs=coeffs.copy(),
+            SimpleNamespace(warm=z0 is not None, coeffs=coeffs.copy(),
+                            z0=None if z0 is None else np.array(z0),
                             out=(roots.copy(), res.copy(), converged.copy()))
         )
         return roots, res, converged
 
     monkeypatch.setattr(align_mod, "solve_batch", tampered)
     return calls
+
+
+def bisection_steps(calls):
+    """The recorded solves grouped by step: each warm batch, then the cold
+    batches made before the next one."""
+    steps = []
+    for call in calls:
+        if call.warm:
+            steps.append([call])
+        else:
+            steps[-1].append(call)
+    return steps
+
+
+def replay_bisection(f, eps, trials, seed, warm_rows):
+    """Independent replay of the bisection that the warm batches' rows
+    trace: per step, its delta, whether it passed (None for the last), and
+    the deltas that the next ``LOOKAHEAD_STEPS`` steps can test, either way
+    each step goes.  Asserts that every warm batch holds all trials, in
+    trial order, at one of the deltas its step can test."""
+    from deformkit.align import BISECTION_STEPS, LOOKAHEAD_STEPS
+
+    noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
+
+    def candidates(brackets, depth):
+        out = []
+        for _ in range(depth):
+            mids = [0.5 * (lo + hi) for lo, hi in brackets]
+            out += [10.0**m for m in mids]
+            brackets = [b for (lo, hi), m in zip(brackets, mids) for b in ((lo, m), (m, hi))]
+        return out
+
+    lo, hi = np.log10(1e-12), np.log10(eps)
+    mid, brackets = lo, [(lo, hi)]  # the feasibility check, then one step per halving
+    out = []
+    for k, rows in enumerate(warm_rows):
+        delta = 10.0**mid
+        assert rows.tobytes() == _deform(f, noises, delta).tobytes()
+        ahead = candidates(brackets, min(LOOKAHEAD_STEPS, BISECTION_STEPS - k))
+        passed = None
+        if k + 1 < len(warm_rows):
+            taken = [b for b in brackets if warm_rows[k + 1].tobytes()
+                     == _deform(f, noises, 10.0 ** (0.5 * (b[0] + b[1]))).tobytes()]
+            assert len(taken) == 1
+            passed = taken[0] == brackets[-1]
+            lo, hi = taken[0]
+            mid = 0.5 * (lo + hi)
+            brackets = [(lo, mid), (mid, hi)]
+        out.append((delta, passed, ahead))
+    return out
 
 
 def test_modulus_propagates_solver_failure_with_context(monkeypatch):
@@ -287,12 +336,20 @@ def test_modulus_fails_a_trial_with_no_matching(monkeypatch):
         empirical_modulus(CLOSE_PAIR, eps=0.01, trials=3)
 
 
+WILKINSON10 = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])  # roots k/10
+
+
 def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
-    # One warm batch of all trials per step, then at most one cold batch
-    # that holds only trials the warm roots left unsettled, in trial order.
+    # One warm batch of all trials per step, then at most one cold batch.
+    # Each cold row is the row of a trial that the step's warm roots left
+    # unsettled, at the step's delta or at a candidate of the next
+    # LOOKAHEAD_STEPS steps, and no row is solved cold twice; a step whose
+    # unsettled trials were all solved ahead makes no cold call.
     from deformkit import align as align_mod
     from deformkit import roots as roots_mod
 
+    f, eps, trials = WILKINSON10, 0.01, 7
+    want = sequential_modulus(f, eps, trials, seed=0)
     calls = tamper_first_batch(monkeypatch)  # records align's batches only
     real = roots_mod.solve_batch
     base = []
@@ -302,29 +359,34 @@ def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
         return real(coeffs, tol, z0=z0)
 
     monkeypatch.setattr(roots_mod, "solve_batch", counted)
-    f = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])  # Wilkinson-10, scaled
-    empirical_modulus(f, eps=0.01, trials=7)
+    assert empirical_modulus(f, eps, trials=trials).hex() == want.hex()
     assert base == [1]  # the base solve, through find_roots
     roots = np.array(find_roots(f).values())
-    steps = []
-    for call in calls:
-        if call.warm:
-            steps.append([call])
-        else:
-            steps[-1].append(call)
-    # The feasibility check at 1e-12, then one step per halving.
+    noises = np.stack([_unit_noise(f.coeffs.size, 0, t) for t in range(trials)])
+    steps = bisection_steps(calls)
+    replay = replay_bisection(f, eps, trials, 0, [warm.coeffs for warm, *_ in steps])
     assert len(steps) == align_mod.BISECTION_STEPS + 1
-    for warm, *cold in steps:
-        assert warm.trials.tolist() == list(range(7))
+    solved = set()  # every row solved cold so far
+    widest = solved_ahead = 0
+    for (warm, *cold), (delta, _, ahead) in zip(steps, replay):
+        got, _, converged = warm.out
+        dist = np.abs(roots[None, :, None] - got[:, None, :])
+        unsettled = np.flatnonzero(~align_mod._settled(warm.coeffs, got, converged, dist, eps))
+        own = {row.tobytes() for row in warm.coeffs[unsettled]}
+        solved_ahead += bool(own & solved)
+        allowed = {}  # row -> its delta
+        for d in [delta, *ahead]:
+            allowed.update((row.tobytes(), d) for row in _deform(f, noises[unsettled], d))
         assert len(cold) <= 1
-        if cold:
-            trials = cold[0].trials
-            assert trials.size and (np.diff(trials) > 0).all()
-            got, _, converged = warm.out
-            dist = np.abs(roots[None, :, None] - got[:, None, :])
-            settled = align_mod._settled(warm.coeffs, got, converged, dist, 0.01)
-            assert not settled[trials].any()
-    assert any(cold for _, *cold in steps)  # some steps fell back to cold solves
+        for call in cold:
+            keys = [row.tobytes() for row in call.coeffs]
+            assert set(keys) <= allowed.keys()
+            assert not set(keys) & solved and len(set(keys)) == len(keys)
+            assert set(keys) & own  # a cold call solves a row of its own step
+            solved |= set(keys)
+            widest = max(widest, len({allowed[k] for k in keys}))
+    assert widest == 1 + 2 + 4  # this step's delta and both outcomes of two more
+    assert solved_ahead  # some steps used rows solved ahead
 
 
 # -- batched trials against the earlier sequential bisection -----------------------
@@ -422,16 +484,89 @@ def test_modulus_falls_back_to_a_cold_solve_when_a_warm_solve_fails(monkeypatch)
     monkeypatch.setattr(align_mod, "solve_batch", failing_warm)
     got = empirical_modulus(f, 0.01, trials=5, seed=3)
     assert got.hex() == want.hex()
-    # Each step re-solves at most one batch, of its own trials; trial 3 is
-    # among them unless a settled trial before it fails the step first.
+    # Each step makes at most one cold call, which holds a row of its own
+    # step; trial 3's row is solved cold, by its step or ahead by an earlier
+    # one, unless a settled trial before it fails the step first.
     assert len(steps) == align_mod.BISECTION_STEPS + 1
+    solved = set()  # every row solved cold so far
     with_trial3 = 0
     for warm, cold in steps:
         assert len(cold) <= 1
         for rows in cold:
-            assert all((warm == row).all(axis=1).any() for row in rows)
-            with_trial3 += (rows == warm[3]).all(axis=1).any()
+            assert any((warm == row).all(axis=1).any() for row in rows)
+            solved |= {row.tobytes() for row in rows}
+        with_trial3 += warm[3].tobytes() in solved
     assert with_trial3 >= align_mod.BISECTION_STEPS // 2
+
+
+def test_cold_rows_solved_ahead_equal_their_one_row_solves(monkeypatch):
+    # A step takes a kept result in place of its own cold solve, so every row
+    # of a cold batch, at whichever delta, must have its one-row solve's bits.
+    from deformkit import align as align_mod
+
+    real = align_mod.solve_batch
+    cold = []
+
+    def recorded(coeffs, tol=1e-12, z0=None):
+        out = real(coeffs, tol, z0=z0)
+        if z0 is None:
+            cold.append((coeffs.copy(), out))
+        return out
+
+    monkeypatch.setattr(align_mod, "solve_batch", recorded)
+    empirical_modulus(WILKINSON10, 0.01, trials=7)
+    assert max(len(rows) for rows, _ in cold) >= 1 + 2 + 4  # a trial and its rows ahead
+    for rows, out in cold:
+        for k, row in enumerate(rows):
+            one = real(row[None, :])
+            for got, alone in zip(out, one):
+                assert got[k].tobytes() == alone[0].tobytes()
+
+
+def test_a_trial_without_usable_roots_starts_from_the_warm_start():
+    from deformkit.align import _continuation, _warm_start
+
+    base = np.array([1.0, 2.0, 3.0 + 1j])
+    fallback = _warm_start(base, 4)
+    roots = base + 1e-3 * np.arange(4)[:, None]
+    roots[0, 1] = np.nan  # not finite
+    roots[2, 2] = roots[2, 0]  # two equal roots
+    converged = np.array([True, True, True, False])
+    start = _continuation(roots, converged, fallback)
+    assert start[1].tobytes() == roots[1].tobytes()
+    for t in (0, 2, 3):
+        assert start[t].tobytes() == fallback[t].tobytes()
+
+
+@st.composite
+def clustered_polys(draw):
+    """Degree 2-8 with random roots, up to three of them ``gap`` apart."""
+    degree = draw(st.integers(2, 8))
+    gap = draw(st.sampled_from([1.0, 1e-2, 1e-3, 1e-4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    want = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    k = min(degree, 3)
+    want[1:k] = want[0] + gap * np.exp(2j * np.pi * rng.random(k - 1))
+    return UniPoly(np.poly(want)[::-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    f=clustered_polys(),
+    trials=st.integers(2, 6),
+    eps=st.sampled_from([1e-3, 1e-2, 1e-1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_modulus_equals_sequential_on_random_polynomials(f, trials, eps, seed):
+    from deformkit.roots import RootConvergenceError
+
+    def outcome(modulus):
+        try:
+            return modulus(f, eps, trials=trials, seed=seed).hex()
+        except (ArithmeticError, RootConvergenceError) as exc:
+            return type(exc)
+
+    assert outcome(empirical_modulus) == outcome(sequential_modulus)
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,13 +574,19 @@ def test_modulus_falls_back_to_a_cold_solve_when_a_warm_solve_fails(monkeypatch)
     degree=st.integers(2, 10),
     gap=st.sampled_from([1.0, 1e-2, 1e-3, 1e-4]),
     log_delta=st.floats(-12.0, -2.0),
+    shift=st.floats(-2.0, 2.0),
     eps=st.sampled_from([1e-3, 1e-2, 1e-1]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, eps, seed):
+def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, shift, eps, seed):
     """Where the discs settle a trial, its cold solve gives the same
-    ``dist < eps`` adjacency, column for column through the discs."""
-    from deformkit.align import _settled, _warm_start
+    ``dist < eps`` adjacency, column for column through the discs, for warm
+    solves started off f's roots.  Started from the trials' roots at a
+    neighbouring delta (``10**(log_delta + shift)``), as bisection steps
+    are, a settled trial's cold solve gives its verdict: the cold roots of
+    a tight cluster can lie outside the discs of more accurate warm roots
+    (degree 8, gap 1e-4, delta 1e-12, shift 1, eps 1e-3, seed 496176)."""
+    from deformkit.align import _continuation, _perfect_matching, _settled, _warm_start
     from deformkit.roots import RootConvergenceError, solve_batch
 
     rng = np.random.default_rng(seed)
@@ -460,17 +601,23 @@ def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, e
     trials = 8
     noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
     rows = _deform(f, noises, 10.0**log_delta)
-    warm, _, warm_ok = solve_batch(rows, z0=_warm_start(base, trials))
-    with np.errstate(invalid="ignore"):
-        dist = np.abs(base[None, :, None] - warm[:, None, :])
-    settled = _settled(rows, warm, warm_ok, dist, eps)
+    fallback = _warm_start(base, trials)
+    near, _, near_ok = solve_batch(_deform(f, noises, 10.0 ** (log_delta + shift)), z0=fallback)
     cold, _, cold_ok = solve_batch(rows)
-    for t in np.flatnonzero(settled).tolist():
-        assert cold_ok[t]
-        owner = np.abs(cold[t][:, None] - warm[t][None, :]).argmin(axis=1)
-        assert sorted(owner.tolist()) == list(range(degree))  # one cold root per disc
-        cold_dist = np.abs(base[:, None] - cold[t][None, :])
-        assert ((cold_dist < eps) == (dist[t][:, owner] < eps)).all()
+    for start in (fallback, _continuation(near, near_ok, fallback)):
+        warm, _, warm_ok = solve_batch(rows, z0=start)
+        with np.errstate(invalid="ignore"):
+            dist = np.abs(base[None, :, None] - warm[:, None, :])
+        settled = _settled(rows, warm, warm_ok, dist, eps)
+        for t in np.flatnonzero(settled).tolist():
+            assert cold_ok[t]
+            cold_dist = np.abs(base[:, None] - cold[t][None, :])
+            if start is fallback:
+                owner = np.abs(cold[t][:, None] - warm[t][None, :]).argmin(axis=1)
+                assert sorted(owner.tolist()) == list(range(degree))  # one cold root per disc
+                assert ((cold_dist < eps) == (dist[t][:, owner] < eps)).all()
+            aligned = _perfect_matching(dist[t] < eps) is not None
+            assert aligned == (_perfect_matching(cold_dist < eps) is not None)
 
 
 # -- the iterative matching against the earlier recursive search -------------------
@@ -596,6 +743,15 @@ def test_eps_alignment_runs_one_matching(monkeypatch):
     b = a + 0.01 * rng.normal(size=12)
     assert is_eps_aligned(a, b, 0.5)
     assert calls == [(12, 12)]
+
+
+def test_modulus_of_a_huge_lead_warns_nothing():
+    # 0.5 * |lead| / delta overflows for |lead| near 1e308; the cap is then 1.
+    f = UniPoly([1.0, -1.0, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta = empirical_modulus(f, 0.01, trials=3, seed=1729)
+    assert delta == 0.009999999999790581
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])

@@ -1,5 +1,7 @@
 """Univariate root finder: spec'd examples, reconstruction oracle, clustering."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,3 +438,23 @@ def test_solve_batch_from_given_starts():
 
     again = solve_batch(coeffs, z0=_initial_points_batch(coeffs))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again, cold))
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 5e-324], [1e308, -1.0, 1e-300]])
+def test_overflowing_cauchy_radius_warns_nothing(coeffs):
+    # The start circle's radius overflows to inf; the row comes out
+    # unconverged, and no RuntimeWarning reaches the caller.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, converged = solve_batch(np.array([coeffs], dtype=np.complex128))
+    assert not converged[0]
+
+
+def test_cluster_bound_of_a_huge_coefficient_warns_nothing():
+    # Horner at the centroids of 1e308 t^2 - 1 overflows; the check then
+    # sees an inf bound, and no RuntimeWarning reaches the caller.
+    r = find_roots(UniPoly([-1.0, 0.0, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        merged = cluster_multiplicities(r)
+    assert sorted(m for _, m in merged.roots) == [1, 1]
