@@ -31,8 +31,6 @@ __all__ = ["Matching", "bottleneck_match", "is_eps_aligned", "empirical_modulus"
 
 # Halvings of the log-scale delta interval in ``empirical_modulus``.
 BISECTION_STEPS = 40
-# Bisection steps ahead whose candidates a step's cold re-solve also solves.
-LOOKAHEAD_STEPS = 2
 # Distance of each trial's warm start from a root of f, relative to
 # ``max(1, max|root|)``.
 WARM_OFFSET = 1e-7
@@ -191,36 +189,6 @@ def _settled(rows, roots, converged, dist, eps) -> np.ndarray:
     return converged & isolated & clear.all(axis=(1, 2))
 
 
-def _candidate(lo, hi):
-    """The log10 and the value of the delta that bisection tests next in
-    the log bracket [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    return mid, 10.0**mid
-
-
-def _ahead(brackets, depth: int) -> list:
-    """The deltas that the next ``depth`` bisection steps test from
-    ``brackets``, whichever way each step goes (2**k candidates at depth k)."""
-    deltas = []
-    for _ in range(depth):
-        nxt = []
-        for lo, hi in brackets:
-            mid, delta = _candidate(lo, hi)
-            deltas.append(delta)
-            nxt += [(lo, mid), (mid, hi)]
-        brackets = nxt
-    return deltas
-
-
-def _continuation(roots, converged, fallback) -> np.ndarray:
-    """Next step's initial estimates: each trial's roots where they
-    converged to finite, distinct values, else its row of ``fallback``."""
-    ordered = np.sort(roots, axis=1)
-    ok = converged & np.isfinite(roots).all(axis=1)
-    ok &= (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    return np.where(ok[:, None], roots, fallback)
-
-
 def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -> float:
     """Estimate the largest delta keeping random delta-deformations eps-aligned.
 
@@ -235,19 +203,20 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     move continuously with the coefficients, so every trial starts from its
     own roots at the previous step, whose delta is one end of the current
     bracket; the first step (delta = 1e-12), and a trial whose previous
-    roots did not converge to finite, distinct values, start a little off
-    ``f``'s roots instead.  A trial's verdict is taken from these warm roots
-    only where inclusion discs settle it (``_settled``): every roots array
-    inside the discs, the cold solve's included, has the same ``dist < eps``
-    adjacency.  The other trials up to the first settled unaligned one are
-    solved again from the default cold start, so every verdict, and
-    ``delta``, is the one that cold solves of all trials give.  That cold
-    batch also solves the same trials at every candidate of the next
-    ``LOOKAHEAD_STEPS`` steps, and a later step takes a result kept from it
-    instead of solving again: rows are independent, so each kept result is
-    that step's own cold solve.  Trials are then judged in trial order: the
-    first unconverged trial raises, the first unaligned one fails the
-    candidate, and later trials are not judged.  A trial raises
+    roots did not converge, start a little off ``f``'s roots instead.  A
+    trial's verdict is taken from these warm roots only where inclusion
+    discs settle it (``_settled``): the discs are disjoint and every root
+    distance clears eps by four radii, so every roots array inside the
+    discs has the same ``dist < eps`` adjacency.  That the cold solve's
+    roots lie inside them is not proved, and from a previous step's roots
+    it can fail for a tight cluster, whose warm roots are then the more
+    accurate; agreement of the verdicts with cold solves is checked by
+    tests, not proved.  The other trials up to the first settled unaligned
+    one are solved again from the default cold start in one batch (rows are
+    independent, so each equals its one-row solve), and those cold solves
+    decide them.  Trials are then judged in trial order: the first
+    unconverged trial raises, the first unaligned one fails the candidate,
+    and later trials are not judged.  A trial raises
     ``RootConvergenceError`` only when its cold solve fails, so a settled
     trial never raises.  A trial whose nearest-root assignment is a
     bijection within eps is aligned; any other one runs the matching of
@@ -260,26 +229,8 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
     fallback = _warm_start(base, trials)
     start = fallback
-    kept = {}  # (delta, trial) -> its cold (roots, residuals, converged)
 
-    def solve_cold(delta, cold, brackets, depth) -> None:
-        """One cold batch of the trials ``cold`` at ``delta`` and at the
-        candidates ahead, leaving out the ones already kept."""
-        keys, parts = [], []
-        # A candidate's rows can overflow where this step's do not; its own
-        # step rejects them before taking any result kept for it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for d in [delta, *_ahead(brackets, depth)]:
-                todo = [t for t in cold if (d, t) not in kept]
-                keys += [(d, t) for t in todo]
-                parts.append(_deform(f, noises[todo], d))
-        out = solve_batch(np.concatenate(parts))
-        for k, key in enumerate(keys):
-            kept[key] = (out[0][k], out[1][k], out[2][k])
-
-    def passes(delta, brackets, depth) -> bool:
-        """Whether every trial is aligned at ``delta``; ``brackets`` are
-        the next step's possible brackets, ``depth`` the steps to look ahead."""
+    def passes(delta: float) -> bool:
         nonlocal start
         rows = _deform(f, noises, delta)
         if not np.isfinite(rows.view(np.float64)).all():  # as UniPoly(row) rejects it
@@ -289,7 +240,7 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
             dist = np.abs(base[None, :, None] - roots[:, None, :])
             aligned = _nearest_is_matching(dist, eps)
         # Settled verdicts in trial order up to the first unaligned one; the
-        # unsettled trials before it take their cold solves.
+        # unsettled trials before it are solved again from the cold start.
         settled = _settled(rows, roots, converged, dist, eps)
         stop = trials
         for trial in np.flatnonzero(settled & ~aligned).tolist():
@@ -297,16 +248,14 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
             if not aligned[trial]:
                 stop = trial
                 break
-        cold = np.flatnonzero(~settled[:stop]).tolist()
-        if any((delta, t) not in kept for t in cold):
-            solve_cold(delta, cold, brackets, depth)
-        if cold:
-            for t in cold:
-                roots[t], res[t], converged[t] = kept.pop((delta, t))
+        cold = np.flatnonzero(~settled[:stop])
+        if cold.size:
+            roots[cold], res[cold], converged[cold] = solve_batch(rows[cold])
             with np.errstate(invalid="ignore"):
                 dist[cold] = np.abs(base[None, :, None] - roots[cold][:, None, :])
                 aligned[cold] = _nearest_is_matching(dist[cold], eps)
-        start = _continuation(roots, converged, fallback)
+        # solve_batch flags non-finite and collided roots as unconverged.
+        start = np.where(converged[:, None], roots, fallback)
         for trial in np.flatnonzero(~(converged & aligned)).tolist():
             if not converged[trial]:  # _certify_row raises; name the trial
                 try:
@@ -322,16 +271,16 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
         return True
 
     lo, hi = np.log10(1e-12), np.log10(eps)
-    if not passes(10.0**lo, [(lo, hi)], min(LOOKAHEAD_STEPS, BISECTION_STEPS)):
+    if not passes(10.0**lo):
         raise ArithmeticError(
             "no feasible delta found down to 1e-12; "
             "the polynomial's roots are too sensitive for this eps"
         )
     best = 10.0**lo
-    for step in range(BISECTION_STEPS):
-        mid, delta = _candidate(lo, hi)
-        depth = min(LOOKAHEAD_STEPS, BISECTION_STEPS - 1 - step)
-        if passes(delta, [(lo, mid), (mid, hi)], depth):
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        delta = 10.0**mid
+        if passes(delta):
             best = delta
             lo = mid
         else:

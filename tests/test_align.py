@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deformkit import (
@@ -201,14 +201,12 @@ def test_matching_serialization():
     assert m.to_json_dict() == {"perm": [0, 1], "bottleneck": m.bottleneck}
 
 
-def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=None):
-    """Route align's batched solves through the real one, but wherever a row
-    of the first bisection step (delta = 1e-12) is solved, in the warm batch
-    of all trials or in a cold batch, move trial ``unaligned`` far away, flag
-    trial ``unconverged`` and give trial 0 the roots ``trial0``.  Rows at
-    other deltas, which a cold batch also solves ahead, are left alone.
-    Returns the solves seen: whether each was warm, its rows, its initial
-    estimates and its output."""
+def record_solves(monkeypatch, tamper=None):
+    """Route align's batched solves through the real one and record them:
+    whether each was warm, its trial numbers, rows, initial estimates, its
+    bisection step (0 for the feasibility check at 1e-12) and its output.
+    ``tamper(call, roots, residuals, converged)`` may change the output in
+    place before it is recorded and returned."""
     from types import SimpleNamespace
 
     from deformkit import align as align_mod
@@ -216,75 +214,85 @@ def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=Non
     real = align_mod.solve_batch
     calls = []
 
-    def tampered(coeffs, tol=1e-12, z0=None):
+    def recorded(coeffs, tol=1e-12, z0=None):
         roots, res, converged = real(coeffs, tol, z0=z0)
-        first = calls[0].coeffs if calls else coeffs  # the first step's warm batch
-        for k, row in enumerate(coeffs):
-            trial = np.flatnonzero((first == row).all(axis=1)).tolist()
-            if trial == [unaligned]:
-                roots[k] += 10.0
-            if trial == [unconverged]:
-                converged[k] = False
-            if trial == [0] and trial0 is not None:
-                roots[k] = trial0
-        calls.append(
-            SimpleNamespace(warm=z0 is not None, coeffs=coeffs.copy(),
-                            z0=None if z0 is None else np.array(z0),
-                            out=(roots.copy(), res.copy(), converged.copy()))
+        if z0 is not None:  # a warm batch of all trials opens each step
+            trials = np.arange(len(coeffs))
+        else:
+            step_rows = next(c.coeffs for c in reversed(calls) if c.warm)
+            trials = np.array([np.flatnonzero((step_rows == row).all(axis=1))[0] for row in coeffs])
+        call = SimpleNamespace(
+            warm=z0 is not None, trials=trials, coeffs=coeffs.copy(),
+            z0=None if z0 is None else np.array(z0),
+            step=sum(c.warm for c in calls) + (z0 is not None) - 1,
         )
+        if tamper is not None:
+            tamper(call, roots, res, converged)
+        call.out = (roots.copy(), res.copy(), converged.copy())
+        calls.append(call)
         return roots, res, converged
 
-    monkeypatch.setattr(align_mod, "solve_batch", tampered)
+    monkeypatch.setattr(align_mod, "solve_batch", recorded)
     return calls
 
 
-def bisection_steps(calls):
-    """The recorded solves grouped by step: each warm batch, then the cold
-    batches made before the next one."""
+def tamper_first_batch(monkeypatch, unaligned=None, unconverged=None, trial0=None):
+    """Record align's batched solves (``record_solves``), but in every solve
+    of the first bisection step (the warm batch of all trials and the cold
+    batch of the unsettled ones) move trial ``unaligned`` far away, flag
+    trial ``unconverged`` and give trial 0 the roots ``trial0``."""
+
+    def tamper(call, roots, res, converged):
+        for k, trial in enumerate(call.trials.tolist()):
+            if call.step == 0 and trial == unaligned:
+                roots[k] += 10.0
+            if call.step == 0 and trial == unconverged:
+                converged[k] = False
+            if call.step == 0 and trial == 0 and trial0 is not None:
+                roots[k] = trial0
+
+    return record_solves(monkeypatch, tamper)
+
+
+def check_steps(calls, base, eps):
+    """Check the recorded solves of one ``empirical_modulus`` run, step by
+    step, against its rules, and return them as (warm call, cold trials).
+
+    Each step opens with one warm batch of all trials.  The first starts
+    from ``_warm_start``; each later one starts every trial from its roots
+    at the step before (the cold roots, for a trial solved cold), or from
+    ``_warm_start`` where those did not converge.  Then, where the warm
+    roots leave trials unsettled before the first settled trial with no
+    matching, comes exactly one cold batch of those trials in trial order;
+    otherwise none."""
+    from deformkit.align import _perfect_matching, _settled, _warm_start
+
     steps = []
     for call in calls:
         if call.warm:
             steps.append([call])
         else:
             steps[-1].append(call)
-    return steps
-
-
-def replay_bisection(f, eps, trials, seed, warm_rows):
-    """Independent replay of the bisection that the warm batches' rows
-    trace: per step, its delta, whether it passed (None for the last), and
-    the deltas that the next ``LOOKAHEAD_STEPS`` steps can test, either way
-    each step goes.  Asserts that every warm batch holds all trials, in
-    trial order, at one of the deltas its step can test."""
-    from deformkit.align import BISECTION_STEPS, LOOKAHEAD_STEPS
-
-    noises = np.stack([_unit_noise(f.coeffs.size, seed, t) for t in range(trials)])
-
-    def candidates(brackets, depth):
-        out = []
-        for _ in range(depth):
-            mids = [0.5 * (lo + hi) for lo, hi in brackets]
-            out += [10.0**m for m in mids]
-            brackets = [b for (lo, hi), m in zip(brackets, mids) for b in ((lo, m), (m, hi))]
-        return out
-
-    lo, hi = np.log10(1e-12), np.log10(eps)
-    mid, brackets = lo, [(lo, hi)]  # the feasibility check, then one step per halving
+    trials = len(calls[0].coeffs)
+    fallback = _warm_start(base, trials)
+    start = fallback
     out = []
-    for k, rows in enumerate(warm_rows):
-        delta = 10.0**mid
-        assert rows.tobytes() == _deform(f, noises, delta).tobytes()
-        ahead = candidates(brackets, min(LOOKAHEAD_STEPS, BISECTION_STEPS - k))
-        passed = None
-        if k + 1 < len(warm_rows):
-            taken = [b for b in brackets if warm_rows[k + 1].tobytes()
-                     == _deform(f, noises, 10.0 ** (0.5 * (b[0] + b[1]))).tobytes()]
-            assert len(taken) == 1
-            passed = taken[0] == brackets[-1]
-            lo, hi = taken[0]
-            mid = 0.5 * (lo + hi)
-            brackets = [(lo, mid), (mid, hi)]
-        out.append((delta, passed, ahead))
+    for warm, *cold in steps:
+        assert warm.trials.tolist() == list(range(trials))
+        assert warm.z0.tobytes() == start.tobytes()
+        roots, _, converged = (a.copy() for a in warm.out)
+        with np.errstate(invalid="ignore"):
+            dist = np.abs(base[None, :, None] - roots[:, None, :])
+        settled = _settled(warm.coeffs, roots, converged, dist, eps)
+        failing = [t for t in np.flatnonzero(settled) if _perfect_matching(dist[t] < eps) is None]
+        judged = np.flatnonzero(~settled[: failing[0] if failing else trials])
+        assert len(cold) == (judged.size > 0)
+        if cold:
+            assert cold[0].trials.tolist() == judged.tolist()
+            assert cold[0].coeffs.tobytes() == warm.coeffs[judged].tobytes()
+            roots[judged], _, converged[judged] = cold[0].out
+        start = np.where(converged[:, None], roots, fallback)
+        out.append((warm, judged))
     return out
 
 
@@ -336,21 +344,17 @@ def test_modulus_fails_a_trial_with_no_matching(monkeypatch):
         empirical_modulus(CLOSE_PAIR, eps=0.01, trials=3)
 
 
-WILKINSON10 = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])  # roots k/10
-
-
 def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
-    # One warm batch of all trials per step, then at most one cold batch.
-    # Each cold row is the row of a trial that the step's warm roots left
-    # unsettled, at the step's delta or at a candidate of the next
-    # LOOKAHEAD_STEPS steps, and no row is solved cold twice; a step whose
-    # unsettled trials were all solved ahead makes no cold call.
+    # One warm batch of all trials per step, started from the previous
+    # step's roots, then at most one cold batch that holds exactly the
+    # trials the warm roots left unsettled before the step's first failing
+    # settled trial, in trial order (check_steps).
     from deformkit import align as align_mod
     from deformkit import roots as roots_mod
 
-    f, eps, trials = WILKINSON10, 0.01, 7
-    want = sequential_modulus(f, eps, trials, seed=0)
-    calls = tamper_first_batch(monkeypatch)  # records align's batches only
+    f = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])  # Wilkinson-10, scaled
+    want = sequential_modulus(f, 0.01, trials=7, seed=0)
+    calls = record_solves(monkeypatch)  # records align's batches only
     real = roots_mod.solve_batch
     base = []
 
@@ -359,34 +363,12 @@ def test_modulus_solves_each_bisection_step_in_one_batch(monkeypatch):
         return real(coeffs, tol, z0=z0)
 
     monkeypatch.setattr(roots_mod, "solve_batch", counted)
-    assert empirical_modulus(f, eps, trials=trials).hex() == want.hex()
+    assert empirical_modulus(f, eps=0.01, trials=7).hex() == want.hex()
     assert base == [1]  # the base solve, through find_roots
-    roots = np.array(find_roots(f).values())
-    noises = np.stack([_unit_noise(f.coeffs.size, 0, t) for t in range(trials)])
-    steps = bisection_steps(calls)
-    replay = replay_bisection(f, eps, trials, 0, [warm.coeffs for warm, *_ in steps])
+    steps = check_steps(calls, np.array(find_roots(f).values()), 0.01)
+    # The feasibility check at 1e-12, then one step per halving.
     assert len(steps) == align_mod.BISECTION_STEPS + 1
-    solved = set()  # every row solved cold so far
-    widest = solved_ahead = 0
-    for (warm, *cold), (delta, _, ahead) in zip(steps, replay):
-        got, _, converged = warm.out
-        dist = np.abs(roots[None, :, None] - got[:, None, :])
-        unsettled = np.flatnonzero(~align_mod._settled(warm.coeffs, got, converged, dist, eps))
-        own = {row.tobytes() for row in warm.coeffs[unsettled]}
-        solved_ahead += bool(own & solved)
-        allowed = {}  # row -> its delta
-        for d in [delta, *ahead]:
-            allowed.update((row.tobytes(), d) for row in _deform(f, noises[unsettled], d))
-        assert len(cold) <= 1
-        for call in cold:
-            keys = [row.tobytes() for row in call.coeffs]
-            assert set(keys) <= allowed.keys()
-            assert not set(keys) & solved and len(set(keys)) == len(keys)
-            assert set(keys) & own  # a cold call solves a row of its own step
-            solved |= set(keys)
-            widest = max(widest, len({allowed[k] for k in keys}))
-    assert widest == 1 + 2 + 4  # this step's delta and both outcomes of two more
-    assert solved_ahead  # some steps used rows solved ahead
+    assert any(judged.size for _, judged in steps)  # some steps fell back to cold solves
 
 
 # -- batched trials against the earlier sequential bisection -----------------------
@@ -468,95 +450,71 @@ def test_modulus_falls_back_to_a_cold_solve_when_a_warm_solve_fails(monkeypatch)
 
     f = UniPoly([0.3 - 0.2j, -1, 0.5j, 1])
     want = sequential_modulus(f, 0.01, trials=5, seed=3)
-    real = align_mod.solve_batch
-    steps = []
 
-    def failing_warm(coeffs, tol=1e-12, z0=None):
-        roots, res, converged = real(coeffs, tol, z0=z0)
-        if z0 is not None:  # trial 3's warm solve fails at every step
+    def fail_trial3(call, roots, res, converged):
+        if call.warm:  # trial 3's warm solve fails at every step
             roots[3] = np.nan
             converged[3] = False
-            steps.append((coeffs.copy(), []))
-        else:
-            steps[-1][1].append(coeffs.copy())
-        return roots, res, converged
 
-    monkeypatch.setattr(align_mod, "solve_batch", failing_warm)
+    calls = record_solves(monkeypatch, fail_trial3)
     got = empirical_modulus(f, 0.01, trials=5, seed=3)
     assert got.hex() == want.hex()
-    # Each step makes at most one cold call, which holds a row of its own
-    # step; trial 3's row is solved cold, by its step or ahead by an earlier
-    # one, unless a settled trial before it fails the step first.
+    base = np.array(find_roots(f).values())
+    steps = check_steps(calls, base, 0.01)
     assert len(steps) == align_mod.BISECTION_STEPS + 1
-    solved = set()  # every row solved cold so far
-    with_trial3 = 0
-    for warm, cold in steps:
-        assert len(cold) <= 1
-        for rows in cold:
-            assert any((warm == row).all(axis=1).any() for row in rows)
-            solved |= {row.tobytes() for row in rows}
-        with_trial3 += warm[3].tobytes() in solved
-    assert with_trial3 >= align_mod.BISECTION_STEPS // 2
+    # Trial 3 is judged by its cold solve unless a settled trial before it
+    # fails the step first.
+    judged = [3 in cold.tolist() for _, cold in steps]
+    assert sum(judged) >= align_mod.BISECTION_STEPS // 2
 
 
-def test_cold_rows_solved_ahead_equal_their_one_row_solves(monkeypatch):
-    # A step takes a kept result in place of its own cold solve, so every row
-    # of a cold batch, at whichever delta, must have its one-row solve's bits.
-    from deformkit import align as align_mod
+def test_modulus_starts_a_trial_without_converged_roots_from_the_warm_start(monkeypatch):
+    # Trial 6's warm solve fails at every step.  Where a settled trial
+    # before it fails the step, trial 6 is not solved cold and keeps its NaN
+    # roots, so the next step starts it from _warm_start.
+    from deformkit.align import _warm_start
 
-    real = align_mod.solve_batch
-    cold = []
+    f = UniPoly(np.poly(np.arange(1, 11) / 10.0)[::-1])  # Wilkinson-10, scaled
+    want = sequential_modulus(f, 0.01, trials=7, seed=0)
 
-    def recorded(coeffs, tol=1e-12, z0=None):
-        out = real(coeffs, tol, z0=z0)
-        if z0 is None:
-            cold.append((coeffs.copy(), out))
-        return out
+    def fail_trial6(call, roots, res, converged):
+        if call.warm:
+            roots[6] = np.nan
+            converged[6] = False
 
-    monkeypatch.setattr(align_mod, "solve_batch", recorded)
-    empirical_modulus(WILKINSON10, 0.01, trials=7)
-    assert max(len(rows) for rows, _ in cold) >= 1 + 2 + 4  # a trial and its rows ahead
-    for rows, out in cold:
-        for k, row in enumerate(rows):
-            one = real(row[None, :])
-            for got, alone in zip(out, one):
-                assert got[k].tobytes() == alone[0].tobytes()
-
-
-def test_a_trial_without_usable_roots_starts_from_the_warm_start():
-    from deformkit.align import _continuation, _warm_start
-
-    base = np.array([1.0, 2.0, 3.0 + 1j])
-    fallback = _warm_start(base, 4)
-    roots = base + 1e-3 * np.arange(4)[:, None]
-    roots[0, 1] = np.nan  # not finite
-    roots[2, 2] = roots[2, 0]  # two equal roots
-    converged = np.array([True, True, True, False])
-    start = _continuation(roots, converged, fallback)
-    assert start[1].tobytes() == roots[1].tobytes()
-    for t in (0, 2, 3):
-        assert start[t].tobytes() == fallback[t].tobytes()
+    calls = record_solves(monkeypatch, fail_trial6)
+    assert empirical_modulus(f, 0.01, trials=7).hex() == want.hex()
+    base = np.array(find_roots(f).values())
+    steps = check_steps(calls, base, 0.01)
+    fallback = _warm_start(base, 7)[6]
+    unjudged = [nxt for (_, cold), (nxt, _) in zip(steps, steps[1:]) if 6 not in cold.tolist()]
+    assert unjudged
+    for nxt in unjudged:
+        assert nxt.z0[6].tobytes() == fallback.tobytes()
 
 
-@st.composite
-def clustered_polys(draw):
-    """Degree 2-8 with random roots, up to three of them ``gap`` apart."""
-    degree = draw(st.integers(2, 8))
-    gap = draw(st.sampled_from([1.0, 1e-2, 1e-3, 1e-4]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+def clustered_poly(degree, gap, seed):
+    """Degree ``degree`` with random roots, up to three of them ``gap`` apart."""
+    rng = np.random.default_rng(seed)
     want = rng.normal(size=degree) + 1j * rng.normal(size=degree)
     k = min(degree, 3)
     want[1:k] = want[0] + gap * np.exp(2j * np.pi * rng.random(k - 1))
     return UniPoly(np.poly(want)[::-1])
 
 
+GAPS = [1.0, 1e-2, 1e-3, 1e-4]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    f=clustered_polys(),
+    f=st.builds(clustered_poly, st.integers(2, 8), st.sampled_from(GAPS), st.integers(0, 2**31 - 1)),
     trials=st.integers(2, 6),
     eps=st.sampled_from([1e-3, 1e-2, 1e-1]),
     seed=st.integers(0, 2**31 - 1),
 )
+# The cold roots of this cluster lie outside the discs of its warm roots
+# (see test_settled_trials_have_the_cold_solves_adjacency).
+@example(f=clustered_poly(8, 1e-4, 496176), trials=6, eps=1e-3, seed=496176)
 def test_modulus_equals_sequential_on_random_polynomials(f, trials, eps, seed):
     from deformkit.roots import RootConvergenceError
 
@@ -572,12 +530,13 @@ def test_modulus_equals_sequential_on_random_polynomials(f, trials, eps, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     degree=st.integers(2, 10),
-    gap=st.sampled_from([1.0, 1e-2, 1e-3, 1e-4]),
+    gap=st.sampled_from(GAPS),
     log_delta=st.floats(-12.0, -2.0),
     shift=st.floats(-2.0, 2.0),
     eps=st.sampled_from([1e-3, 1e-2, 1e-1]),
     seed=st.integers(0, 2**31 - 1),
 )
+@example(degree=8, gap=1e-4, log_delta=-12.0, shift=1.0, eps=1e-3, seed=496176)
 def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, shift, eps, seed):
     """Where the discs settle a trial, its cold solve gives the same
     ``dist < eps`` adjacency, column for column through the discs, for warm
@@ -585,15 +544,11 @@ def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, s
     neighbouring delta (``10**(log_delta + shift)``), as bisection steps
     are, a settled trial's cold solve gives its verdict: the cold roots of
     a tight cluster can lie outside the discs of more accurate warm roots
-    (degree 8, gap 1e-4, delta 1e-12, shift 1, eps 1e-3, seed 496176)."""
-    from deformkit.align import _continuation, _perfect_matching, _settled, _warm_start
+    (the explicit example)."""
+    from deformkit.align import _perfect_matching, _settled, _warm_start
     from deformkit.roots import RootConvergenceError, solve_batch
 
-    rng = np.random.default_rng(seed)
-    want = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-    k = min(degree, 3)  # a cluster of up to three roots ``gap`` apart
-    want[1:k] = want[0] + gap * np.exp(2j * np.pi * rng.random(k - 1))
-    f = UniPoly(np.poly(want)[::-1])
+    f = clustered_poly(degree, gap, seed)
     try:
         base = np.array(find_roots(f).values())
     except RootConvergenceError:
@@ -604,7 +559,7 @@ def test_settled_trials_have_the_cold_solves_adjacency(degree, gap, log_delta, s
     fallback = _warm_start(base, trials)
     near, _, near_ok = solve_batch(_deform(f, noises, 10.0 ** (log_delta + shift)), z0=fallback)
     cold, _, cold_ok = solve_batch(rows)
-    for start in (fallback, _continuation(near, near_ok, fallback)):
+    for start in (fallback, np.where(near_ok[:, None], near, fallback)):
         warm, _, warm_ok = solve_batch(rows, z0=start)
         with np.errstate(invalid="ignore"):
             dist = np.abs(base[None, :, None] - warm[:, None, :])
@@ -751,7 +706,7 @@ def test_modulus_of_a_huge_lead_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         delta = empirical_modulus(f, 0.01, trials=3, seed=1729)
-    assert delta == 0.009999999999790581
+    assert math.isfinite(delta)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
