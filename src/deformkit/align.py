@@ -211,15 +211,14 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
     roots lie inside them is not proved, and from a previous step's roots
     it can fail for a tight cluster, whose warm roots are then the more
     accurate; agreement of the verdicts with cold solves is checked by
-    tests, not proved.  The other trials up to the first settled unaligned
-    one are solved again from the default cold start in one batch (rows are
-    independent, so each equals its one-row solve), and those cold solves
-    decide them.  Trials are then judged in trial order: the first
-    unconverged trial raises, the first unaligned one fails the candidate,
-    and later trials are not judged.  A trial raises
-    ``RootConvergenceError`` only when its cold solve fails, so a settled
-    trial never raises.  A trial whose nearest-root assignment is a
-    bijection within eps is aligned; any other one runs the matching of
+    tests, not proved.  The other trials are solved again from the default
+    cold start in one batch (rows are independent, so each equals its
+    one-row solve), and those cold solves decide them.  Trials are then
+    judged in trial order: the first unconverged trial raises, the first
+    unaligned one fails the candidate, and later trials are not judged.  A
+    trial raises ``RootConvergenceError`` only when its cold solve fails, so
+    a settled trial never raises.  A trial whose nearest-root assignment is
+    a bijection within eps is aligned; any other one runs the matching of
     ``is_eps_aligned``.
     """
     _require_positive("eps", eps)
@@ -238,22 +237,12 @@ def empirical_modulus(f: UniPoly, eps: float, trials: int = 20, seed: int = 0) -
         roots, res, converged = solve_batch(rows, z0=start)
         with np.errstate(invalid="ignore"):  # unconverged rows may hold NaN
             dist = np.abs(base[None, :, None] - roots[:, None, :])
-            aligned = _nearest_is_matching(dist, eps)
-        # Settled verdicts in trial order up to the first unaligned one; the
-        # unsettled trials before it are solved again from the cold start.
-        settled = _settled(rows, roots, converged, dist, eps)
-        stop = trials
-        for trial in np.flatnonzero(settled & ~aligned).tolist():
-            aligned[trial] = _perfect_matching(dist[trial] < eps) is not None
-            if not aligned[trial]:
-                stop = trial
-                break
-        cold = np.flatnonzero(~settled[:stop])
+        cold = np.flatnonzero(~_settled(rows, roots, converged, dist, eps))
         if cold.size:
             roots[cold], res[cold], converged[cold] = solve_batch(rows[cold])
             with np.errstate(invalid="ignore"):
                 dist[cold] = np.abs(base[None, :, None] - roots[cold][:, None, :])
-                aligned[cold] = _nearest_is_matching(dist[cold], eps)
+        aligned = _nearest_is_matching(dist, eps)
         # solve_batch flags non-finite and collided roots as unconverged.
         start = np.where(converged[:, None], roots, fallback)
         for trial in np.flatnonzero(~(converged & aligned)).tolist():

@@ -670,7 +670,7 @@ def hensel_lift_root(
     z = zeta.reshape(1, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         fz, dp = _kernels.horner(f.coeffs[None, :], z)
-        noise, _ = _kernels.horner(np.abs(f.coeffs)[None, :], np.abs(z))
+        noise = _kernels.noise_scale(np.abs(f.coeffs)[None, :], np.abs(z))
         fz, dp, z = np.abs(fz[0]), dp[0], z[0]
         root_bound = _ZERO_TOL * (noise[0] + (1.0 + np.abs(z)) * np.abs(dp))
         bad = np.flatnonzero(~(fz <= root_bound))

@@ -198,13 +198,16 @@ class SparsePoly:
         rows = pts.reshape(-1, dim)
         coords = [(x.real.copy(), x.imag.copy()) for x in rows.T]
         vals = np.zeros(rows.shape[0], dtype=np.complex128)
-        for idx, coeff in self.sorted_terms():
-            re, im = coeff.real, coeff.imag
-            for (xr, xi), e in zip(coords, idx):
-                for _ in range(e):
-                    re, im = re * xr - im * xi, re * xi + im * xr
-            vals.real += re
-            vals.imag += im
+        # A value past the float range becomes inf or NaN, which the
+        # strict-JSON reports refuse; it is not worth a warning on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, coeff in self.sorted_terms():
+                re, im = coeff.real, coeff.imag
+                for (xr, xi), e in zip(coords, idx):
+                    for _ in range(e):
+                        re, im = re * xr - im * xi, re * xi + im * xr
+                vals.real += re
+                vals.imag += im
         if pts.ndim == 1:
             return complex(vals[0])
         return vals.reshape(pts.shape[:-1])

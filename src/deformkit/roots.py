@@ -130,8 +130,11 @@ class UniPoly:
 class RootMultiset:
     """Roots of a polynomial, counted with multiplicity.
 
-    ``residual_bound`` is the max of ``|p(root)|`` over the listed values,
-    scaled by ``max(1, max|coeff|)``.
+    ``residual_bound`` is the max of the computed ``|p(root)|`` over the
+    listed values, scaled by ``max(1, max|coeff|)``.  It is not a bound on
+    the exact residual: the float Horner value can round low, and no
+    rounding term is added.  On the scaled Wilkinson-10 it is 3.68e-17,
+    while the exact scaled residual of one listed root is 8.20e-17.
     """
 
     roots: tuple[tuple[complex, int], ...]

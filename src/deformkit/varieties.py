@@ -603,7 +603,10 @@ def variety_jet_check(
 
     # Slack for float rounding between evaluating f and the standard part of g.
     scale = max(1.0, float(np.abs(samples.points).max(initial=0.0)))
-    slack = max(ST_MATCH_TOL * f.support_size() * scale ** max(f.total_degree(), 0) for f in F)
+    try:
+        slack = max(ST_MATCH_TOL * f.support_size() * scale ** max(f.total_degree(), 0) for f in F)
+    except OverflowError:  # float ** int raises past the float range
+        slack = np.inf
     threshold = tol + 10.0 * slack
 
     witnesses = samples.points[system_residual(F, samples.points) <= tol]

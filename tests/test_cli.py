@@ -919,15 +919,24 @@ def assert_clean_exit(rc, out, err, json_errors):
 @given(w=cloud_texts(), z=cloud_texts(), json_errors=st.booleans())
 # The distance overflows: exit 2, and no NumPy warning beside the error line.
 @example(w="re_1,im_1\n0.0,1.7e308\n", z="re_1,im_1\n0.0,-1e308\n", json_errors=True)
+# A value of f or of st(g) overflows, and so does the forward slack of
+# variety --g (scale**2): the same exit 2.
+@example(w="re_1,im_1,re_2,im_2\n1e308,0,-1e308,0\n", z="", json_errors=False)
+@example(w="re_1,im_1,re_2,im_2\n1e200,1e200,3,0\n", z="", json_errors=False)
 def test_cloud_inputs_never_crash(w, z, json_errors, tmp_path_factory):
     folder = tmp_path_factory.mktemp("fuzz")
-    W, Z, poly = folder / "W.csv", folder / "Z.csv", folder / "f.json"
+    names = ("W.csv", "Z.csv", "f.json", "q.json", "g.json")
+    W, Z, line, parabola, jet = (folder / n for n in names)
     W.write_bytes(w.encode("utf-8", "surrogatepass"))  # lone surrogates: invalid UTF-8
     Z.write_bytes(z.encode("utf-8", "surrogatepass"))
-    poly.write_text(json.dumps(SparsePoly(2, {(1, 0): 1.0, (0, 1): -1.0}).to_json_dict()))
+    line.write_text(json.dumps(SparsePoly(2, {(1, 0): 1.0, (0, 1): -1.0}).to_json_dict()))
+    q = SparsePoly(2, {(2, 0): 1.0, (0, 1): -1.0})
+    parabola.write_text(json.dumps(q.to_json_dict()))
+    jet.write_text(json.dumps(JetPoly.from_sparse(q).to_json_dict()))
     flag = ["--json-errors"] if json_errors else []
     for argv in (
         ["hausdorff", "--W", str(W), "--Z", str(Z), "--eps", "0.1"],
-        ["variety", "--f", str(poly), "--points", str(W), "--eps", "0.1"],
+        ["variety", "--f", str(line), "--points", str(W), "--eps", "0.1"],
+        ["variety", "--f", str(parabola), "--points", str(W), "--g", str(jet)],
     ):
         assert_clean_exit(*run_captured(argv + flag), json_errors)
